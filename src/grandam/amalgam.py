@@ -157,7 +157,7 @@ def make_triangular_bupu(space, spacing):
     Only cyclic spaces whose size is a multiple of ``spacing`` qualify.
     """
     n = space.size
-    if space.geometry != CYCLIC or space.factors is not None:
+    if space.geometry != CYCLIC or len(space.factors) > 1:
         raise ValueError("triangular partitions need a plain cyclic space")
     if spacing < 2 or n % spacing != 0:
         raise ValueError(f"spacing (={spacing}) must be >= 2 and divide {n}")
@@ -216,10 +216,17 @@ class BupuValidation:
         }
 
 
-def _support_windows(bupu):
-    """The translated windows U + y_i as index sets."""
-    sp = bupu.space
-    return [set(sp.translate_points(bupu.window.members, c)) for c in bupu.centers]
+def _translate_table(space, members, shifts):
+    """Row i holds the atoms of members + shifts[i]; -1 marks clipped atoms."""
+    return space.translate_indices(np.reshape(members, (1, -1)), np.reshape(shifts, (-1, 1)))
+
+
+def _translates(space, members, shifts):
+    """Boolean incidence: entry [i, x] says whether atom x lies in members + shifts[i]."""
+    table = _translate_table(space, members, shifts)
+    inc = np.zeros((len(table), space.size + 1), dtype=bool)
+    inc[np.arange(len(table))[:, None], table] = True   # clipped atoms land in the spare column
+    return inc[:, :space.size]
 
 
 def validate_bupu(bupu, tol=1e-12):
@@ -232,14 +239,10 @@ def validate_bupu(bupu, tol=1e-12):
 
     sup_measured = max(lp_norm(psi, np.inf) for psi in bupu.functions)
 
-    supports = _support_windows(bupu)
-    violations = 0
-    for psi, sup_set in zip(bupu.functions, supports):
-        outside = [x for x in range(sp.size)
-                   if psi.values[x] != 0.0 and x not in sup_set]
-        violations += len(outside)
-
-    overlap = max(sum(1 for s in supports if x in s) for x in range(sp.size))
+    supports = _translates(sp, bupu.window.members, bupu.centers)
+    nonzero = np.array([psi.values != 0.0 for psi in bupu.functions])
+    violations = int(np.count_nonzero(nonzero & ~supports))
+    overlap = int(supports.sum(axis=0).max())
 
     return BupuValidation(
         sum_deviation=sum_dev,
@@ -285,13 +288,13 @@ def well_spread_check(family, window, space):
     intersection graph: translates of one colour are pairwise disjoint.
     """
     window.require_nonempty()
-    translates = [set(space.translate_points(window.members, x)) for x in family]
-    covered = set().union(*translates) if translates else set()
-    dense = covered == set(range(space.size))
+    translates = _translates(space, window.members, family)
+    dense = bool(translates.any(axis=0).all())
+    meets = translates @ translates.T
 
     colors = []
-    for i, t in enumerate(translates):
-        used = {colors[j] for j in range(i) if translates[j] & t}
+    for i in range(len(translates)):
+        used = {colors[j] for j in range(i) if meets[i, j]}
         c = 0
         while c in used:
             c += 1
@@ -301,21 +304,18 @@ def well_spread_check(family, window, space):
 
 
 def _disjoint_full_translates(window, family):
-    """Translated windows for a separated family; errors if they clip or meet."""
-    sp = window.space
-    translates = []
-    for x in family:
-        t = sp.translate_points(window.members, x)
-        if len(t) != window.size:
-            raise ValueError(f"translate by {x} clips the window; family is not usable")
-        translates.append(t)
-    seen = set()
-    for t in translates:
-        s = set(t)
-        if seen & s:
-            raise ValueError("window translates overlap; family is not separated")
-        seen |= s
-    return translates
+    """Translated windows for a separated family; errors if they clip or meet.
+
+    Returns the (len(family), window.size) table of translated atoms.
+    """
+    table = _translate_table(window.space, window.members, family)
+    clipped = np.flatnonzero((table < 0).any(axis=1))
+    if clipped.size:
+        raise ValueError(f"translate by {family[clipped[0]]} clips the window; "
+                         "family is not usable")
+    if np.unique(table).size != table.size:
+        raise ValueError("window translates overlap; family is not separated")
+    return table
 
 
 def step_function_from_coefficients(coeffs, window, family):
@@ -325,11 +325,11 @@ def step_function_from_coefficients(coeffs, window, family):
     each coefficient on exactly one full window copy.
     """
     window.require_nonempty()
-    translates = _disjoint_full_translates(window, family)
+    table = _disjoint_full_translates(window, family)
+    if len(coeffs) != len(table):
+        raise ValueError("need exactly one coefficient per translate")
     vals = np.zeros(window.space.size)
-    for c, t in zip(coeffs, translates):
-        for atom in t:
-            vals[atom] = c
+    vals[table] = np.asarray(coeffs, dtype=float)[:, None]
     return SampledFunction(window.space, vals)
 
 
@@ -365,35 +365,40 @@ def discrete_space_bounds(window, exp):
     return min(ends), max(ends)
 
 
+def _piece_norms(f, bupu, local_exp, local_grid):
+    """The sequence i -> ||f psi_i|| on a counting index set."""
+    seq = [grand_norm(f.pointwise_mul(psi), local_exp, local_grid)
+           for psi in bupu.functions]
+    return SampledFunction(MeasureSpace.counting(len(seq)), np.array(seq))
+
+
 def discrete_amalgam_norm(f, bupu, local_exp, global_exp,
                           local_grid=None, global_grid=None):
     """Grand sequence norm of the per-piece local norms i -> ||f psi_i||."""
     report = validate_bupu(bupu)
     if not report.all_passed:
         raise ValueError("partition of unity fails its conditions; see validate_bupu")
-    local_grid = _resolve_grid(local_exp, local_grid)
-    seq = [grand_norm(f.pointwise_mul(psi), local_exp, local_grid)
-           for psi in bupu.functions]
-    index_space = MeasureSpace.counting(len(seq))
-    return grand_sequence_norm(SampledFunction(index_space, np.array(seq)),
-                               global_exp, global_grid)
+    seq = _piece_norms(f, bupu, local_exp, _resolve_grid(local_exp, local_grid))
+    return grand_sequence_norm(seq, global_exp, global_grid)
 
 
 # ----------------------------------------------------------------------
 # continuous vs discrete equivalence
 
 
-def _greedy_cover_count(space, target, qmembers):
-    """Number of window translates a greedy sweep needs to cover ``target``."""
-    uncovered = set(target)
+def _greedy_cover_count(translates, target):
+    """Number of rows of ``translates`` a greedy sweep needs to cover ``target``.
+
+    Both are boolean incidence over the atoms; ties go to the first row.
+    """
+    uncovered = target.copy()
     count = 0
-    translates = [set(space.translate_points(qmembers, x)) for x in range(space.size)]
-    while uncovered:
-        best = max(translates, key=lambda t: len(t & uncovered))
-        gain = len(best & uncovered)
-        if gain == 0:
+    while uncovered.any():
+        gains = np.count_nonzero(translates & uncovered, axis=1)
+        best = int(np.argmax(gains))
+        if gains[best] == 0:
             raise ValueError("window translates cannot cover the target set")
-        uncovered -= best
+        uncovered &= ~translates[best]
         count += 1
     return count
 
@@ -470,29 +475,20 @@ def equivalence_report(f, qwindow, bupu, local_exp, global_exp,
 
     # the three norms under comparison
     cont = amalgam_norm(f, qwindow, local_exp, global_exp, local_grid, global_grid)
-    piece_norms = [grand_norm(f.pointwise_mul(psi), local_exp, local_grid)
-                   for psi in bupu.functions]
-    index_space = MeasureSpace.counting(len(piece_norms))
-    seq = SampledFunction(index_space, np.array(piece_norms))
+    seq = _piece_norms(f, bupu, local_exp, local_grid)
     disc = grand_sequence_norm(seq, global_exp, global_grid)
-    step_fn = step_function_from_coefficients(piece_norms, bupu.window, bupu.centers)
+    step_fn = step_function_from_coefficients(seq.values, bupu.window, bupu.centers)
     step = grand_norm(step_fn, global_exp, global_grid)
 
     # instance geometry: overlap count and difference-window mass ...
-    supports = _support_windows(bupu)
-    q_translates = [set(sp.translate_points(qwindow.members, x)) for x in range(sp.size)]
-    hit_mass = []
-    kappa = 0
-    for x in range(sp.size):
-        touched = sum(1 for s in supports if s & q_translates[x])
-        kappa = max(kappa, touched)
-    for s in supports:
-        hits = [x for x in range(sp.size) if s & q_translates[x]]
-        hit_mass.append(float(np.sum(sp.weights[hits])))
-    mu_diff = max(hit_mass)
+    supports = _translates(bupu.space, bupu.window.members, bupu.centers)
+    q_translates = _translates(sp, qwindow.members, sp.points)
+    meets = q_translates @ supports.T        # [x, i]: Q + x meets U + y_i
+    kappa = int(meets.sum(axis=1).max())
+    mu_diff = max(float(np.sum(sp.weights[hits])) for hits in meets.T)
 
     # ... and the covering number of one support window by Q translates
-    cover_count = _greedy_cover_count(sp, supports[0], qwindow.members)
+    cover_count = _greedy_cover_count(q_translates, supports[0])
 
     q = global_exp.p
     c_up = max((kappa ** (q - 1.0) * mu_diff) ** (1.0 / q), mu_diff)

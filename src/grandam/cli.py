@@ -22,13 +22,28 @@ from .convolution import (FiniteAbelianGroup, noncompact_witness,
 from .core import (COUNTING, CYCLIC, INTERVAL, PROBABILITY, GrandExponent,
                    MeasureSpace, SampledFunction, make_epsilon_grid)
 from .grand import closure_criterion, epsilon_profile, grand_norm
-from .iofmt import load_function, profile_csv_text, render_report
+from .iofmt import load_function, profile_csv_text, render_report, typed_value
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 
 SCHEMA_VERSION = 1
+
+
+# config section -> {key: (RunConfig field, type)}; "" is the top level
+_LAYOUT = {
+    "eps_grid": {"points": ("grid_points", int),
+                 "min_eps_fraction": ("min_eps_fraction", float),
+                 "refinement_rounds": ("refinement_rounds", int),
+                 "tolerance": ("tolerance", float)},
+    "space": {"kind": ("space_kind", str), "atoms": ("atoms", int),
+              "normalization": ("normalization", str)},
+    "exponents": {key: (key, float) for key in ("p", "q", "theta")},
+    "window": {"size": ("window_size", int), "members": ("window_members", list)},
+    "bupu": {"block_size": ("block_size", int)},
+    "": {"seed": ("seed", int), "trials": ("trials", int)},
+}
 
 
 def _reject_unknown(section, allowed, where):
@@ -59,51 +74,30 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data):
-        _reject_unknown(data, ("eps_grid", "space", "exponents", "window",
-                               "bupu", "seed", "trials"), "config")
+        """Typed fields from a parsed config; names the key of any bad value."""
+        _reject_unknown(data, set(_LAYOUT) - {""} | set(_LAYOUT[""]), "config")
         kw = {}
-        grid = data.get("eps_grid", {})
-        _reject_unknown(grid, ("points", "min_eps_fraction", "refinement_rounds",
-                               "tolerance"), "eps_grid")
-        if "points" in grid:
-            kw["grid_points"] = int(grid["points"])
-        if "min_eps_fraction" in grid:
-            kw["min_eps_fraction"] = float(grid["min_eps_fraction"])
-        if "refinement_rounds" in grid:
-            kw["refinement_rounds"] = int(grid["refinement_rounds"])
-        if "tolerance" in grid:
-            kw["tolerance"] = float(grid["tolerance"])
-        space = data.get("space", {})
-        _reject_unknown(space, ("kind", "atoms", "normalization"), "space")
-        if "kind" in space:
-            if space["kind"] not in ("cyclic", "interval", "counting"):
-                raise ValueError(f"unknown space kind {space['kind']!r}")
-            kw["space_kind"] = space["kind"]
-        if "atoms" in space:
-            kw["atoms"] = int(space["atoms"])
-        if "normalization" in space:
-            kw["normalization"] = space["normalization"]
-        exps = data.get("exponents", {})
-        _reject_unknown(exps, ("p", "q", "theta"), "exponents")
-        for key in ("p", "q", "theta"):
-            if key in exps:
-                kw[key] = float(exps[key])
-        window = data.get("window", {})
-        _reject_unknown(window, ("size", "members"), "window")
-        if "size" in window and "members" in window:
-            raise ValueError("window takes either size or members, not both")
-        if "size" in window:
-            kw["window_size"] = int(window["size"])
-        if "members" in window:
-            kw["window_members"] = tuple(int(m) for m in window["members"])
-        bupu = data.get("bupu", {})
-        _reject_unknown(bupu, ("block_size",), "bupu")
-        if "block_size" in bupu:
-            kw["block_size"] = int(bupu["block_size"])
-        if "seed" in data:
-            kw["seed"] = int(data["seed"])
-        if "trials" in data:
-            kw["trials"] = int(data["trials"])
+        for name, keys in _LAYOUT.items():
+            section = data if name == "" else data.get(name, {})
+            where = name or "config"
+            if not isinstance(section, dict):
+                raise ValueError(f"config key {name!r} must be an object")
+            if name:
+                _reject_unknown(section, keys, where)
+            for key, (attr, kind) in keys.items():
+                if key in section:
+                    kw[attr] = typed_value(section[key], kind, f"{where}.{key}")
+        if "window_members" in kw:
+            kw["window_members"] = tuple(typed_value(m, int, "window.members[]")
+                                         for m in kw["window_members"])
+            if "window_size" in kw:
+                raise ValueError("window takes either size or members, not both")
+        if kw.get("space_kind", "cyclic") not in ("cyclic", "interval", "counting"):
+            raise ValueError(f"unknown space kind {kw['space_kind']!r}")
+        if kw.get("normalization", PROBABILITY) not in (PROBABILITY, COUNTING):
+            raise ValueError(f"unknown normalization {kw['normalization']!r}")
+        if kw.get("trials", 1) < 1:
+            raise ValueError(f"trials (={kw['trials']}) must be >= 1")
         return cls(**kw)
 
     @classmethod
@@ -160,8 +154,7 @@ class RunConfig:
 def _load_for_config(path, fmt, config, expect_space=None):
     f = load_function(path, fmt=fmt, geometry=config.geometry())
     if expect_space is not None:
-        if f.space.size != expect_space.size or not np.array_equal(
-                f.space.weights, expect_space.weights):
+        if not expect_space.compatible_with(f.space):
             raise ValueError(
                 f"{path}: weights do not match the configured space "
                 f"({expect_space.size} atoms, {config.normalization})")
@@ -174,10 +167,10 @@ def _random_function(rng, space):
 
 
 # ----------------------------------------------------------------------
-# subcommands: each returns (exit_code, report_doc)
+# subcommands: each takes (args, config, seed) and returns (exit_code, report_doc)
 
 
-def cmd_norm(args, config):
+def cmd_norm(args, config, seed):
     exp = config.local_exponent()
     grid = config.build_grid(exp)
     f = _load_for_config(args.f, args.format, config)
@@ -192,7 +185,7 @@ def cmd_norm(args, config):
     }
 
 
-def cmd_profile(args, config):
+def cmd_profile(args, config, seed):
     exp = config.local_exponent()
     grid = config.build_grid(exp)
     f = _load_for_config(args.f, args.format, config)
@@ -209,7 +202,7 @@ def cmd_profile(args, config):
     }
 
 
-def cmd_amalgam(args, config):
+def cmd_amalgam(args, config, seed):
     local = config.local_exponent()
     glob = config.global_exponent()
     space = config.build_space()
@@ -227,7 +220,7 @@ def cmd_amalgam(args, config):
     }
 
 
-def cmd_bupu_validate(args, config):
+def cmd_bupu_validate(args, config, seed):
     space = config.build_space()
     bupu = make_uniform_bupu(space, config.block_size)
     report = validate_bupu(bupu)
@@ -241,11 +234,6 @@ def cmd_bupu_validate(args, config):
     return (EXIT_OK if report.all_passed else EXIT_VIOLATION), doc
 
 
-def _conv_check_doc(f, g, group, exp, grid):
-    report = submultiplicativity_check(f, g, group, exp, grid)
-    return report, report.to_doc()
-
-
 def cmd_conv_check(args, config, seed):
     exp = config.local_exponent()
     grid = config.build_grid(exp)
@@ -255,9 +243,9 @@ def cmd_conv_check(args, config, seed):
     if args.f is not None:
         f = _load_for_config(args.f, args.format, config, expect_space=group.space)
         g = _load_for_config(args.g, args.format, config, expect_space=group.space)
-        report, doc = _conv_check_doc(f, g, group, exp, grid)
+        report = submultiplicativity_check(f, g, group, exp, grid)
         failed = report.hypotheses_met and not report.passed
-        return (EXIT_VIOLATION if failed else EXIT_OK), doc
+        return (EXIT_VIOLATION if failed else EXIT_OK), report.to_doc()
     rng = np.random.default_rng(seed)
     worst = None
     failures = 0
@@ -280,7 +268,7 @@ def cmd_conv_check(args, config, seed):
     return (EXIT_VIOLATION if failed else EXIT_OK), doc
 
 
-def cmd_witness(args, config):
+def cmd_witness(args, config, seed):
     p = args.p if args.p is not None else config.p
     report = noncompact_witness(args.m, p)
     return (EXIT_OK if report.growing else EXIT_VIOLATION), report.to_doc()
@@ -335,8 +323,9 @@ def build_parser():
     parser.add_argument("--out", help="write the report here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, helptext, needs_f=False, needs_g=False):
+    def add(name, handler, helptext, needs_f=False, needs_g=False):
         sp = sub.add_parser(name, help=helptext)
+        sp.set_defaults(handler=handler)
         if needs_f:
             sp.add_argument("--f", help="sampled function file")
         if needs_g:
@@ -345,17 +334,21 @@ def build_parser():
                         help="function file format (default: by extension)")
         return sp
 
-    add("norm", "grand Lebesgue norm of a function", needs_f=True)
-    prof = add("profile", "epsilon profile behind the norm", needs_f=True)
+    # The handlers are module globals read when the parser is built, so a
+    # caller that rebinds cli.cmd_* before calling main sees its own.
+    add("norm", cmd_norm, "grand Lebesgue norm of a function", needs_f=True)
+    prof = add("profile", cmd_profile, "epsilon profile behind the norm", needs_f=True)
     prof.add_argument("--csv", help="also write eps,value rows to this CSV file")
-    add("amalgam", "windowed amalgam norm of a function", needs_f=True)
-    add("bupu-validate", "build and validate the configured uniform partition")
-    add("conv-check", "convolution submultiplicativity check",
+    add("amalgam", cmd_amalgam, "windowed amalgam norm of a function", needs_f=True)
+    add("bupu-validate", cmd_bupu_validate,
+        "build and validate the configured uniform partition")
+    add("conv-check", cmd_conv_check, "convolution submultiplicativity check",
         needs_f=True, needs_g=True)
-    wit = add("witness", "growth witness on the counting model")
+    wit = add("witness", cmd_witness, "growth witness on the counting model")
     wit.add_argument("--m", type=int, default=2, help="half box width (default 2)")
     wit.add_argument("--p", type=float, help="exponent (default: config p)")
-    add("equivalence", "continuous vs discrete amalgam comparison", needs_f=True)
+    add("equivalence", cmd_equivalence, "continuous vs discrete amalgam comparison",
+        needs_f=True)
     return parser
 
 
@@ -365,20 +358,7 @@ def main(argv=None):
     try:
         config = RunConfig.load(args.config)
         seed = args.seed if args.seed is not None else config.seed
-        if args.command == "norm":
-            code, result = cmd_norm(args, config)
-        elif args.command == "profile":
-            code, result = cmd_profile(args, config)
-        elif args.command == "amalgam":
-            code, result = cmd_amalgam(args, config)
-        elif args.command == "bupu-validate":
-            code, result = cmd_bupu_validate(args, config)
-        elif args.command == "conv-check":
-            code, result = cmd_conv_check(args, config, seed)
-        elif args.command == "witness":
-            code, result = cmd_witness(args, config)
-        else:
-            code, result = cmd_equivalence(args, config, seed)
+        code, result = args.handler(args, config, seed)
     except (ValueError, OSError) as err:
         doc = {"schema_version": SCHEMA_VERSION, "command": args.command,
                "error": str(err)}

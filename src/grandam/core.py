@@ -23,9 +23,18 @@ _GEOMETRIES = (CYCLIC, INTERVAL)
 _NORMALIZATIONS = (PROBABILITY, COUNTING)
 
 
+def _group_factors(factors):
+    fac = tuple(int(k) for k in factors)
+    if not fac or any(k <= 0 for k in fac):
+        raise ValueError("group factors must be positive integers")
+    return fac
+
+
 def _normalized_weights(n, normalization):
     if normalization not in _NORMALIZATIONS:
         raise ValueError(f"normalization (={normalization!r}) must be one of {_NORMALIZATIONS}")
+    if n < 1:
+        raise ValueError(f"a space needs at least one atom, got {n}")
     if normalization == PROBABILITY:
         return np.full(n, 1.0 / n)
     return np.ones(n)
@@ -35,9 +44,11 @@ def _normalized_weights(n, normalization):
 class MeasureSpace:
     """A finite family of weighted atoms together with a translation rule.
 
-    Atoms are indexed 0..size-1. ``factors`` marks a product group
-    Z_n1 x ... x Z_nk laid out in row-major order; translation then acts
-    componentwise. Instances are immutable and safe to share.
+    Atoms are indexed 0..size-1. On a cyclic space ``factors`` gives the
+    axes of the group Z_n1 x ... x Z_nk laid out in row-major order, and
+    translation acts componentwise; a plain Z_n has the single factor
+    (n,), which is also the default. Interval spaces have no factors.
+    Instances are immutable and safe to share.
     """
 
     weights: np.ndarray
@@ -55,16 +66,14 @@ class MeasureSpace:
         object.__setattr__(self, "weights", w)
         if self.geometry not in _GEOMETRIES:
             raise ValueError(f"geometry (={self.geometry!r}) must be one of {_GEOMETRIES}")
-        if self.factors is not None:
-            fac = tuple(int(k) for k in self.factors)
-            if any(k <= 0 for k in fac):
-                raise ValueError("group factors must be positive integers")
+        if self.geometry == CYCLIC:
+            fac = _group_factors(self.factors or (w.size,))
             if math.prod(fac) != w.size:
                 raise ValueError(
                     f"product of factors {fac} must equal the atom count {w.size}")
-            if self.geometry != CYCLIC:
-                raise ValueError("factored (product group) spaces must be cyclic")
             object.__setattr__(self, "factors", fac)
+        elif self.factors is not None:
+            raise ValueError("factored (product group) spaces must be cyclic")
 
     # ------------------------------------------------------------------
     # constructors
@@ -82,12 +91,12 @@ class MeasureSpace:
     @classmethod
     def counting(cls, n, label=""):
         """Index set {0..n-1} with counting measure, for sequence norms."""
-        return cls(np.ones(n), INTERVAL, None, label or f"J_{n}")
+        return cls(_normalized_weights(n, COUNTING), INTERVAL, None, label or f"J_{n}")
 
     @classmethod
     def product(cls, factors, normalization=PROBABILITY, label=""):
         """Product group Z_n1 x ... x Z_nk, flattened row-major."""
-        fac = tuple(int(k) for k in factors)
+        fac = _group_factors(factors)
         n = math.prod(fac)
         name = label or "x".join(f"Z_{k}" for k in fac)
         return cls(_normalized_weights(n, normalization), CYCLIC, fac, name)
@@ -122,51 +131,54 @@ class MeasureSpace:
             raise ValueError("space does not carry uniform atom weights")
         return w0
 
-    # ------------------------------------------------------------------
-    # translation
+    def compatible_with(self, other):
+        """Whether ``other`` has the same atoms, weights and translation rule."""
+        return other is self or (other.geometry == self.geometry
+                                 and other.factors == self.factors
+                                 and np.array_equal(other.weights, self.weights))
 
-    def _decompose(self, index):
-        digits = []
-        rem = int(index)
-        for k in reversed(self.factors):
-            digits.append(rem % k)
-            rem //= k
-        return tuple(reversed(digits))
+    # ------------------------------------------------------------------
+    # translation: the one place that knows the mixed-radix layout
+
+    def translate_indices(self, indices, shift):
+        """Atoms ``indices`` shifted by ``shift``; -1 marks atoms clipped away.
+
+        ``indices`` and ``shift`` broadcast against each other. A cyclic
+        shift is a group element given by its flat index (taken modulo the
+        order) and is added digit by digit; an interval shift moves along
+        the line and drops whatever leaves it.
+        """
+        idx = np.asarray(indices, dtype=np.intp)
+        shift = np.asarray(shift, dtype=np.intp)
+        if self.geometry == INTERVAL:
+            t = idx + shift
+            return np.where((t >= 0) & (t < self.size), t, -1)
+        fac = self.factors
+        digits = zip(np.unravel_index(idx, fac), np.unravel_index(shift % self.size, fac))
+        return np.ravel_multi_index(tuple(a + b for a, b in digits), fac, mode="wrap")
 
     def translate_index(self, index, shift):
         """Index of atom ``index`` shifted by ``shift``; None when clipped away."""
-        n = self.size
-        if not 0 <= index < n:
-            raise ValueError(f"index (={index}) out of range for {n} atoms")
-        if self.geometry == CYCLIC:
-            if self.factors is None:
-                return (index + shift) % n
-            out = 0
-            for a, b, k in zip(self._decompose(index), self._decompose(shift), self.factors):
-                out = out * k + (a + b) % k
-            return out
-        t = index + shift
-        return t if 0 <= t < n else None
+        if not 0 <= index < self.size:
+            raise ValueError(f"index (={index}) out of range for {self.size} atoms")
+        t = int(self.translate_indices(index, shift))
+        return t if t >= 0 else None
 
     def negate_index(self, index):
         """Group inverse of ``index`` on a cyclic space."""
         if self.geometry != CYCLIC:
             raise ValueError("group inverses need a cyclic space")
-        if self.factors is None:
-            return (-index) % self.size
-        out = 0
-        for a, k in zip(self._decompose(index), self.factors):
-            out = out * k + (-a) % k
-        return out
+        digits = np.unravel_index(index % self.size, self.factors)
+        return int(np.ravel_multi_index(tuple(-d for d in digits), self.factors, mode="wrap"))
 
     def translate_points(self, members, shift):
         """Translate a set of atom indices, dropping clipped ones."""
-        out = []
-        for m in members:
-            t = self.translate_index(int(m), shift)
-            if t is not None:
-                out.append(t)
-        return tuple(sorted(out))
+        t = self.translate_indices(_as_indices(members), shift)
+        return tuple(np.sort(t[t >= 0]).tolist())
+
+
+def _as_indices(members):
+    return np.fromiter(members, dtype=np.intp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,8 +213,7 @@ class SampledFunction:
     @classmethod
     def indicator(cls, space, members):
         vals = np.zeros(space.size)
-        for m in members:
-            vals[int(m)] = 1.0
+        vals[_as_indices(members)] = 1.0
         return cls(space, vals)
 
     def abs_values(self):
@@ -211,29 +222,19 @@ class SampledFunction:
     def restricted(self, members):
         """Pointwise product with the indicator of ``members``."""
         mask = np.zeros(self.space.size, dtype=bool)
-        for m in members:
-            mask[int(m)] = True
+        mask[_as_indices(members)] = True
         return SampledFunction(self.space, np.where(mask, self.values, 0.0))
 
     def translated(self, shift):
         """(T_s f)(x) = f(x - s); zero extension on interval spaces."""
-        sp = self.space
+        target = self.space.translate_indices(self.space.points, shift)
+        kept = target >= 0
         out = np.zeros_like(self.values)
-        if sp.geometry == CYCLIC:
-            neg = sp.negate_index(shift % sp.size if sp.factors is None else shift)
-            for x in range(sp.size):
-                out[x] = self.values[sp.translate_index(x, neg)]
-        else:
-            for x in range(sp.size):
-                src = x - shift
-                if 0 <= src < sp.size:
-                    out[x] = self.values[src]
-        return SampledFunction(sp, out)
+        out[target[kept]] = self.values[kept]
+        return SampledFunction(self.space, out)
 
     def pointwise_mul(self, other):
-        if other.space is not self.space and not (
-                np.array_equal(other.space.weights, self.space.weights)
-                and other.space.geometry == self.space.geometry):
+        if not self.space.compatible_with(other.space):
             raise ValueError("pointwise product needs functions on the same space")
         return SampledFunction(self.space, self.values * other.values)
 

@@ -50,6 +50,21 @@ def _parse_rows_csv(lines):
     return rows
 
 
+_NUMBER = (int, float)   # the JSON number types; booleans do not count as numbers
+
+
+def typed_value(value, kind, where):
+    """A parsed JSON ``value`` checked against ``kind`` (int, float, str or list).
+
+    Integers pass as floats; booleans pass as neither. ``where`` names the
+    offending key or line in the error.
+    """
+    accepted = _NUMBER if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"{where} (={value!r}) must be of type {kind.__name__}")
+    return kind(value)
+
+
 def _parse_rows_jsonl(lines):
     rows = []
     for lineno, raw in lines:
@@ -62,7 +77,11 @@ def _parse_rows_jsonl(lines):
             raise ValueError(f"line {lineno}: invalid JSON ({err.msg})") from None
         if not isinstance(obj, dict) or set(obj) != {"i", "w", "v"}:
             raise ValueError(f"line {lineno}: expected an object with keys i, w, v")
-        rows.append((lineno, int(obj["i"]), float(obj["w"]), float(obj["v"])))
+        i, w, v = obj["i"], obj["w"], obj["v"]
+        if type(i) is not int or type(w) not in _NUMBER or type(v) not in _NUMBER:
+            for key, kind in (("i", int), ("w", float), ("v", float)):
+                typed_value(obj[key], kind, f"line {lineno}: {key}")
+        rows.append((lineno, i, float(w), float(v)))
     return rows
 
 

@@ -99,3 +99,42 @@ def brute_amalgam(fvals, weights, n, qmembers, translate, p_loc, th_loc,
         masked = [v if i in members else 0.0 for i, v in enumerate(fvals)]
         control.append(brute_grand_norm(masked, weights, p_loc, th_loc))
     return brute_grand_norm(control, weights, p_glob, th_glob)
+
+
+def digits(index, factors):
+    """Mixed-radix digits of ``index`` modulo the group order, row-major."""
+    rem = index % math.prod(factors)
+    out = []
+    for k in reversed(factors):
+        out.append(rem % k)
+        rem //= k
+    return tuple(reversed(out))
+
+
+def undigits(ds, factors):
+    index = 0
+    for d, k in zip(ds, factors):
+        index = index * k + d % k
+    return index
+
+
+def brute_translate(index, shift, factors):
+    """index + shift in Z_n1 x ... x Z_nk, digit by digit."""
+    return undigits([a + b for a, b in zip(digits(index, factors), digits(shift, factors))],
+                    factors)
+
+
+def brute_negate(index, factors):
+    return undigits([-a for a in digits(index, factors)], factors)
+
+
+def brute_group_convolve(fvals, gvals, weight, factors):
+    """sum_y f(y) g(x - y) weight on a product group, x - y taken digit by digit."""
+    n = math.prod(factors)
+    out = []
+    for x in range(n):
+        acc = 0.0
+        for y in range(n):
+            acc += fvals[y] * gvals[brute_translate(x, brute_negate(y, factors), factors)] * weight
+        out.append(acc)
+    return out

@@ -1,11 +1,20 @@
+import contextlib
+import importlib
+import importlib.util
+import io
+import inspect
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grandam.amalgam import Window, amalgam_norm
+from grandam.cli import RunConfig, main
 from grandam.core import (COUNTING, GrandExponent, MeasureSpace,
                           SampledFunction, make_epsilon_grid)
 from grandam.grand import grand_norm
@@ -217,6 +226,14 @@ def test_input_errors_exit_two(workdir, tmp_path):
     assert code == 2
     assert "invalid JSON" in json.loads(err)["error"]
 
+    cfg.write_text('{"space": {"atoms": 0}}')
+    code, _, err = run_cli("--config", str(cfg), "bupu-validate")
+    assert code == 2
+    assert "at least one atom" in json.loads(err)["error"]
+    code, _, err = run_cli("--config", str(cfg), "amalgam", "--f", str(tmp / "f.csv"))
+    assert code == 2
+    assert "at least one atom" in json.loads(err)["error"]
+
 
 def test_weight_mismatch_rejected(workdir, tmp_path):
     tmp, _, _ = workdir
@@ -239,3 +256,128 @@ def test_usage_errors(workdir):
                            "--f", str(tmp / "f.csv"))
     assert code == 2
     assert "both" in json.loads(err)["error"]
+
+
+def test_traced_names_resolve_to_functions():
+    # bench/tracer.py rebinds these module attributes to time each layer.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for qual in tracer.TRACED:
+        mod_name, func = qual.split(".")
+        module = importlib.import_module(f"grandam.{mod_name}")
+        assert inspect.isfunction(getattr(module, func, None)), qual
+
+
+def test_dispatch_reads_rebound_handlers(monkeypatch, tmp_path):
+    # a tracer times cli.cmd_* by rebinding them before calling main
+    import grandam.cli as cli
+    calls = []
+    original = cli.cmd_witness
+
+    def wrapped(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(cli, "cmd_witness", wrapped)
+    code, _, _ = run_in_process(tmp_path, {"seed": 4}, "witness", "--m", "3")
+    assert code == 0
+    assert calls == [4]
+
+
+def run_in_process(tmp_path, config, *args):
+    """cli.main on a config written to tmp_path; returns (code, stdout, stderr)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--config", str(cfg), *args])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["conv-check", "equivalence"])
+def test_zero_trials_is_an_input_error(tmp_path, command):
+    code, out, err = run_in_process(tmp_path, {"trials": 0}, command)
+    assert code == 2
+    assert out == ""
+    assert "trials" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"space": 5}, "'space' must be an object"),
+    ({"eps_grid": []}, "'eps_grid' must be an object"),
+    ({"eps_grid": {"points": None}}, "eps_grid.points"),
+    ({"eps_grid": {"points": 8.5}}, "eps_grid.points"),
+    ({"space": {"atoms": "16"}}, "space.atoms"),
+    ({"space": {"normalization": "uniform"}}, "normalization"),
+    ({"exponents": {"p": True}}, "exponents.p"),
+    ({"window": {"members": [0, 1.5]}}, "window.members"),
+    ({"seed": None}, "config.seed"),
+    ({"trials": 2.0}, "config.trials"),
+])
+def test_mistyped_config_names_the_key(tmp_path, config, key):
+    code, _, err = run_in_process(tmp_path, config, "witness")
+    assert code == 2
+    assert key in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("row, key", [
+    ('{"i": 0.7, "w": 0.5, "v": 1.0}', "line 1: i"),
+    ('{"i": true, "w": 0.5, "v": 1.0}', "line 1: i"),
+    ('{"i": null, "w": 0.5, "v": 1.0}', "line 1: i"),
+    ('{"i": 0, "w": null, "v": 1.0}', "line 1: w"),
+    ('{"i": 0, "w": "0.5", "v": 1.0}', "line 1: w"),
+    ('{"i": 0, "w": 0.5, "v": null}', "line 1: v"),
+    ('{"i": 0, "w": 0.5, "v": [1.0]}', "line 1: v"),
+])
+def test_mistyped_jsonl_row_names_the_line(tmp_path, row, key):
+    path = tmp_path / "f.jsonl"
+    path.write_text(row + "\n" + '{"i": 1, "w": 0.5, "v": 2.0}\n')
+    code, _, err = run_in_process(tmp_path, {}, "norm", "--f", str(path))
+    assert code == 2
+    assert key in json.loads(err)["error"]
+
+
+_BAD_VALUES = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                        st.lists(st.integers(), max_size=2),
+                        st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+                        st.floats(0.1, 9.9).filter(lambda x: not x.is_integer()))
+_SECTIONS = {"eps_grid": ["points", "min_eps_fraction", "refinement_rounds", "tolerance"],
+             "space": ["kind", "atoms", "normalization"],
+             "exponents": ["p", "q", "theta"],
+             "window": ["size", "members"],
+             "bupu": ["block_size"]}
+
+
+@st.composite
+def _malformed_configs(draw):
+    section = draw(st.sampled_from(sorted(_SECTIONS) + [""]))
+    if section == "":
+        return {draw(st.sampled_from(["seed", "trials"])): draw(_BAD_VALUES)}
+    if draw(st.booleans()):          # the whole section is not an object
+        return {section: draw(_BAD_VALUES.filter(lambda v: not isinstance(v, dict)))}
+    key = draw(st.sampled_from(_SECTIONS[section] + ["bogus"]))
+    value = draw(_BAD_VALUES)
+    if key in ("p", "q", "theta", "min_eps_fraction", "tolerance"):
+        value = draw(_BAD_VALUES.filter(lambda v: not isinstance(v, float)))
+    if key == "members" and isinstance(value, list):
+        value = value + [None]
+    return {section: {key: value}}
+
+
+@settings(max_examples=50, deadline=None)
+@given(config=_malformed_configs())
+def test_malformed_config_always_exits_two(tmp_path_factory, config):
+    code, out, err = run_in_process(tmp_path_factory.mktemp("h"), config, "bupu-validate")
+    assert code == 2
+    assert out == ""
+    assert set(json.loads(err)) == {"schema_version", "command", "error"}
+
+
+def test_readme_config_example_is_accepted():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("### Config file")[1].split("```json")[1].split("```")[0]
+    config = RunConfig.from_dict(json.loads(example))
+    assert config.grid_points == 64
+    assert config.trials == 100

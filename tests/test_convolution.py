@@ -7,10 +7,10 @@ from grandam.amalgam import Window
 from grandam.convolution import (FiniteAbelianGroup, amalgam_submultiplicativity_check,
                                  convolve, noncompact_witness,
                                  submultiplicativity_check)
-from grandam.core import (COUNTING, GrandExponent, MeasureSpace,
+from grandam.core import (COUNTING, PROBABILITY, GrandExponent, MeasureSpace,
                           SampledFunction, lp_norm, make_epsilon_grid)
 
-from oracles import brute_convolve
+from oracles import brute_convolve, brute_group_convolve
 
 
 def test_group_basics():
@@ -75,6 +75,17 @@ def test_product_group_convolution():
     b = SampledFunction.indicator(g.space, [2])   # (1,0)
     conv = convolve(a, b, g)
     assert list(conv.values) == [0.0, 0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("factors", [(4, 6), (2, 3, 5)])
+@pytest.mark.parametrize("normalization", [PROBABILITY, COUNTING])
+def test_product_group_convolution_matches_digit_sum(factors, normalization):
+    g = FiniteAbelianGroup(factors, normalization)
+    rng = np.random.default_rng(37)
+    f = SampledFunction(g.space, rng.uniform(-1.0, 1.0, g.order))
+    h = SampledFunction(g.space, rng.uniform(-1.0, 1.0, g.order))
+    want = brute_group_convolve(list(f.values), list(h.values), g.haar_weight, factors)
+    np.testing.assert_allclose(convolve(f, h, g).values, want, rtol=1e-12, atol=1e-15)
 
 
 def test_l1_norm_multiplicative_for_nonnegative():

@@ -7,6 +7,8 @@ from grandam.core import (COUNTING, CYCLIC, INTERVAL, PROBABILITY, EpsilonGrid,
                           GrandExponent, MeasureSpace, SampledFunction,
                           grand_factor, lp_norm, make_epsilon_grid)
 
+from oracles import brute_negate, brute_translate
+
 
 def test_cyclic_space_is_probability():
     sp = MeasureSpace.cyclic(8)
@@ -34,6 +36,9 @@ def test_cyclic_counting_normalization():
 def test_bad_space_arguments():
     with pytest.raises(ValueError, match="non-empty"):
         MeasureSpace(np.array([]))
+    for empty in (MeasureSpace.cyclic, MeasureSpace.interval, MeasureSpace.counting):
+        with pytest.raises(ValueError, match="at least one atom"):
+            empty(0)
     with pytest.raises(ValueError, match="> 0"):
         MeasureSpace(np.array([1.0, -1.0]))
     with pytest.raises(ValueError, match="geometry"):
@@ -72,6 +77,35 @@ def test_product_group_translation():
     assert sp.negate_index(4) == 5          # -(1,1) = (1,2), index 3*1+2
     with pytest.raises(ValueError, match="factors"):
         MeasureSpace(np.ones(5), CYCLIC, factors=(2, 3))
+
+
+@pytest.mark.parametrize("factors", [(8,), (2, 3), (4, 3, 2)])
+def test_translation_matches_digit_loop(factors):
+    sp = MeasureSpace.product(factors)
+    n = sp.size
+    shifts = range(-n - 3, 2 * n + 3)           # negative and >= n included
+    for i in range(n):
+        assert sp.negate_index(i) == brute_negate(i, factors)
+        for s in shifts:
+            want = brute_translate(i, s, factors)
+            assert sp.translate_index(i, s) == want
+            assert sp.translate_points((i,), s) == (want,)
+    f = SampledFunction(sp, np.arange(float(n)))
+    for s in shifts:
+        want = tuple(sorted(brute_translate(i, s, factors) for i in range(0, n, 2)))
+        assert sp.translate_points(range(0, n, 2), s) == want
+        moved = f.translated(s).values               # (T_s f)(x + s) = f(x)
+        assert all(moved[brute_translate(x, s, factors)] == x for x in range(n))
+
+
+def test_interval_translation_matches_clipping_loop():
+    sp = MeasureSpace.interval(6)
+    for s in range(-8, 9):
+        for i in range(6):
+            want = i + s if 0 <= i + s < 6 else None
+            assert sp.translate_index(i, s) == want
+        assert sp.translate_points(range(6), s) == tuple(
+            i + s for i in range(6) if 0 <= i + s < 6)
 
 
 def test_sampled_function_basics():
