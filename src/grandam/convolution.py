@@ -23,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (COUNTING, PROBABILITY, MeasureSpace, SampledFunction,
                    lp_norm)
-from .grand import (_resolve_grid, _sup_over_grid, grand_norm)
+from .grand import _resolve_grid, grand_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,9 +228,10 @@ def amalgam_submultiplicativity_check(f, g, group, qwindow, local_exp, global_ex
         phi_q * grand_ratio / (g_w * m_q)^2
 
     where phi_q = (q-1)^theta bounds the global epsilon weight, g_w is
-    the exact single-atom sequence norm sup (eta^theta w)^(1/(q-eta)),
-    and m_q pinches the window-mass covering bound; all three are
-    computed for this group, window and grid.
+    the global grand norm of a single-atom indicator, which is exactly
+    sup (eta^theta w)^(1/(q-eta)), and m_q pinches the window-mass
+    covering bound; all three are computed for this group, window and
+    grid.
     """
     from .amalgam import amalgam_norm  # local import to avoid a cycle
 
@@ -249,17 +250,9 @@ def amalgam_submultiplicativity_check(f, g, group, qwindow, local_exp, global_ex
     gc = grand_norm(conv, local_exp, local_grid)
     grand_ratio = gc / (gf * gg) if gf * gg != 0.0 else 0.0
 
-    q = global_exp.p
-    theta = global_exp.theta
     w_atom = group.space.uniform_weight()
-    phi_q = global_exp.eps_max ** theta
-
-    def single_atom(eta):
-        s = q - eta
-        return (eta ** (theta / s)) * w_atom ** (1.0 / s)
-
-    zero_limit = w_atom ** (1.0 / q) if theta == 0.0 else 0.0
-    g_w = _sup_over_grid(single_atom, global_grid, zero_limit).value
+    phi_q = global_exp.eps_max ** global_exp.theta
+    g_w = grand_norm(SampledFunction.indicator(group.space, (0,)), global_exp, global_grid)
     mu_q = qwindow.mass
     m_q = min(mu_q, mu_q ** (1.0 / local_exp.p))
     constant_c = phi_q * grand_ratio / (g_w * m_q) ** 2

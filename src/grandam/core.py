@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_TINY = float(np.finfo(float).tiny)   # smallest normal float
+
 CYCLIC = "cyclic"
 INTERVAL = "interval"
 
@@ -233,18 +235,23 @@ class SampledFunction:
         out[target[kept]] = self.values[kept]
         return SampledFunction(self.space, out)
 
-    def pointwise_mul(self, other):
+    def _same_space(self, other, what):
         if not self.space.compatible_with(other.space):
-            raise ValueError("pointwise product needs functions on the same space")
+            raise ValueError(f"{what} needs functions on the same space")
+
+    def pointwise_mul(self, other):
+        self._same_space(other, "pointwise product")
         return SampledFunction(self.space, self.values * other.values)
 
     def scaled(self, c):
         return SampledFunction(self.space, c * self.values)
 
     def __add__(self, other):
+        self._same_space(other, "sum")
         return SampledFunction(self.space, self.values + other.values)
 
     def __sub__(self, other):
+        self._same_space(other, "difference")
         return SampledFunction(self.space, self.values - other.values)
 
 
@@ -275,9 +282,23 @@ class GrandExponent:
 
 
 def _weighted_r_norm(abs_vals, weights, r):
-    """(sum_i w_i a_i^r)^(1/r) for a fixed finite exponent r >= 1."""
+    """(sum_i w_i a_i^r)^(1/r) for a fixed finite exponent r >= 1.
+
+    When the plain sum leaves the normal float range (it overflows, or
+    underflows while some a_i is nonzero), the sum is taken again over
+    a / 2^k with max a in [2^k, 2^(k+1)). Dividing by a power of two is
+    exact, and homogeneity gives 2^k times the rescaled norm. Every sum
+    that stays in range keeps its bits.
+    """
     s = float(np.dot(weights, abs_vals ** r))
-    return s ** (1.0 / r)
+    if _TINY <= s < math.inf:
+        return s ** (1.0 / r)
+    top = float(np.max(abs_vals))
+    if top == 0.0:
+        return 0.0
+    scale = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    s = float(np.dot(weights, (abs_vals / scale) ** r))
+    return scale * s ** (1.0 / r)
 
 
 def lp_norm(f, r):
@@ -307,16 +328,13 @@ def grand_factor(eps, exp):
 class EpsilonGrid:
     """Strictly increasing evaluation points for the epsilon supremum.
 
-    ``include_zero_limit`` adds the eps -> 0 boundary value as an extra
-    candidate (the supremum runs over an interval that is open at zero);
-    ``refinement_rounds`` scales how long the golden-section polish around
-    the best grid points may run, and ``relative_tolerance`` is its
-    bracket-width stopping criterion.
+    The supremum is taken over these points, a golden-section polish
+    around the best two of them, and the eps -> 0 boundary value (the
+    epsilon range is open at zero). ``relative_tolerance`` is the bracket
+    width, relative to its upper end, at which the polish stops.
     """
 
     eps_values: np.ndarray
-    include_zero_limit: bool = True
-    refinement_rounds: int = 4
     relative_tolerance: float = 1e-9
 
     def __post_init__(self):
@@ -329,9 +347,6 @@ class EpsilonGrid:
             raise ValueError("eps_values must be strictly increasing")
         eps.setflags(write=False)
         object.__setattr__(self, "eps_values", eps)
-        if int(self.refinement_rounds) < 0:
-            raise ValueError("refinement_rounds must be >= 0")
-        object.__setattr__(self, "refinement_rounds", int(self.refinement_rounds))
         if not self.relative_tolerance > 0.0:
             raise ValueError("relative_tolerance must be > 0")
 
@@ -348,8 +363,7 @@ class EpsilonGrid:
         return self.eps_max == exp.eps_max
 
 
-def make_epsilon_grid(exp, points=64, min_eps=None, refinement_rounds=4,
-                      tol=1e-9, include_zero_limit=True):
+def make_epsilon_grid(exp, points=64, min_eps=None, tol=1e-9):
     """Geometric epsilon grid from ``min_eps`` up to p - 1 inclusive.
 
     The default lower end sits at 1e-6 * (p - 1), six decades below the
@@ -367,4 +381,4 @@ def make_epsilon_grid(exp, points=64, min_eps=None, refinement_rounds=4,
     eps = np.geomspace(min_eps, hi, points)
     eps[0] = min_eps
     eps[-1] = hi
-    return EpsilonGrid(eps, include_zero_limit, refinement_rounds, tol)
+    return EpsilonGrid(eps, tol)

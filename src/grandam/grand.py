@@ -5,10 +5,10 @@ The central object is
     sup over eps in (0, p-1] of  eps^(theta/(p-eps)) * ||f||_{p-eps}
 
 computed by scanning an epsilon grid, polishing the best grid points with
-a golden-section search, and (optionally) admitting the eps -> 0 boundary
-value as one more candidate. On a probability space with theta = 0 that
-boundary value is the plain Lp norm, which makes the theta = 0 reduction
-exact rather than grid-limited.
+a golden-section search, and admitting the eps -> 0 boundary value as one
+more candidate. On a probability space with theta = 0 that boundary value
+is the plain Lp norm, which makes the theta = 0 reduction exact rather
+than grid-limited.
 
 The same engine serves sequence norms (counting measure), the discrete
 translate-step norms used by amalgam discretization, and the explicit
@@ -18,24 +18,33 @@ embedding constants, so all of them share one evaluation path.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import (EpsilonGrid, GrandExponent, MeasureSpace, SampledFunction,
-                   _weighted_r_norm, grand_factor, lp_norm, make_epsilon_grid)
+from .core import _weighted_r_norm, grand_factor, lp_norm, make_epsilon_grid
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = 200   # step cap of each golden-section polish
 
 
 @dataclass(frozen=True)
-class SupResult:
-    """Outcome of one epsilon-supremum scan."""
+class EpsilonProfile:
+    """All evaluated (eps, weighted norm) pairs from one supremum scan.
 
-    value: float
-    argmax_eps: float
+    Entries cover the grid, every refinement probe and, at eps = 0.0, the
+    boundary candidate; ``sup_value`` is the largest value among them and
+    ``argmax_eps`` the first eps reaching it.
+    """
+
     entries: tuple
+    argmax_eps: float
+    sup_value: float
+
+    def value_at(self, eps):
+        for e, v in self.entries:
+            if e == eps:
+                return v
+        raise KeyError(f"eps (={eps}) was not evaluated")
 
 
-def _golden_max(g, lo, hi, rel_tol, max_iter, record):
+def _golden_max(g, lo, hi, rel_tol, record):
     """Golden-section maximisation on [lo, hi]; every probe lands in ``record``."""
     if hi <= lo:
         return
@@ -46,7 +55,7 @@ def _golden_max(g, lo, hi, rel_tol, max_iter, record):
     gd = g(d)
     record.append((d, gd))
     it = 0
-    while (hi - lo) > rel_tol * hi and it < max_iter:
+    while (hi - lo) > rel_tol * hi and it < _GOLDEN_STEPS:
         if gc < gd:
             lo, c, gc = c, d, gd
             d = lo + _INV_PHI * (hi - lo)
@@ -65,43 +74,25 @@ def _sup_over_grid(g, grid, zero_limit):
 
     Refinement brackets the two best local maxima of the grid scan, so a
     secondary hump cannot be silently dropped. ``zero_limit`` is the
-    eps -> 0 boundary value (or None to skip it); it only takes over when
-    it strictly beats everything actually evaluated.
+    eps -> 0 boundary value; it only takes over when it strictly beats
+    everything actually evaluated.
     """
-    eps = grid.eps_values
-    vals = [g(float(e)) for e in eps]
+    eps = grid.eps_values.tolist()
+    vals = [g(e) for e in eps]
     n = len(vals)
     probes = []
-    if grid.refinement_rounds > 0 and n >= 2:
-        local = [i for i in range(n)
-                 if (i == 0 or vals[i] >= vals[i - 1])
-                 and (i == n - 1 or vals[i] >= vals[i + 1])]
-        local.sort(key=lambda i: vals[i], reverse=True)
-        cap = 50 * grid.refinement_rounds
-        for k in local[:2]:
-            lo = float(eps[k - 1]) if k > 0 else float(eps[k])
-            hi = float(eps[k + 1]) if k + 1 < n else float(eps[k])
-            _golden_max(g, lo, hi, grid.relative_tolerance, cap, probes)
+    local = [i for i in range(n)
+             if (i == 0 or vals[i] >= vals[i - 1])
+             and (i == n - 1 or vals[i] >= vals[i + 1])]
+    local.sort(key=lambda i: vals[i], reverse=True)
+    for k in local[:2]:
+        _golden_max(g, eps[max(k - 1, 0)], eps[min(k + 1, n - 1)],
+                    grid.relative_tolerance, probes)
 
-    best_val = vals[0]
-    best_eps = float(eps[0])
-    for i in range(1, n):
-        if vals[i] > best_val:
-            best_val = vals[i]
-            best_eps = float(eps[i])
-    for e, v in probes:
-        if v > best_val:
-            best_val = v
-            best_eps = e
-
-    entries = list(zip((float(e) for e in eps), vals)) + probes
-    if zero_limit is not None:
-        entries.append((0.0, zero_limit))
-        if zero_limit > best_val:
-            best_val = zero_limit
-            best_eps = 0.0
+    entries = list(zip(eps, vals)) + probes + [(0.0, zero_limit)]
+    best_eps, best_val = max(entries, key=lambda t: t[1])   # first maximum wins
     entries.sort(key=lambda t: t[0])
-    return SupResult(best_val, best_eps, tuple(entries))
+    return EpsilonProfile(tuple(entries), best_eps, best_val)
 
 
 def _norm_sup(abs_vals, weights, exp, grid, scale_base=1.0):
@@ -120,13 +111,11 @@ def _norm_sup(abs_vals, weights, exp, grid, scale_base=1.0):
         return (eps ** (theta / r)) * scale_base ** (1.0 / r) \
             * _weighted_r_norm(abs_vals, weights, r)
 
-    zero_limit = None
-    if grid.include_zero_limit:
-        if theta == 0.0:
-            zero_limit = scale_base ** (1.0 / p) * _weighted_r_norm(abs_vals, weights, p)
-        else:
-            # eps^(theta/(p-eps)) -> 0 while the norm stays bounded.
-            zero_limit = 0.0
+    if theta == 0.0:
+        zero_limit = scale_base ** (1.0 / p) * _weighted_r_norm(abs_vals, weights, p)
+    else:
+        # eps^(theta/(p-eps)) -> 0 while the norm stays bounded.
+        zero_limit = 0.0
     return _sup_over_grid(g, grid, zero_limit)
 
 
@@ -147,7 +136,7 @@ def grand_norm(f, exp, grid=None):
     sits in the interior or at eps = p - 1 and the golden polish locates it.
     """
     grid = _resolve_grid(exp, grid)
-    return _norm_sup(f.abs_values(), f.space.weights, exp, grid).value
+    return _norm_sup(f.abs_values(), f.space.weights, exp, grid).sup_value
 
 
 def grand_sequence_norm(u, exp, grid=None):
@@ -157,37 +146,13 @@ def grand_sequence_norm(u, exp, grid=None):
     return grand_norm(u, exp, grid)
 
 
-@dataclass(frozen=True)
-class EpsilonProfile:
-    """All evaluated (eps, weighted norm) pairs from one supremum scan.
-
-    Entries cover the grid plus every refinement probe; an entry at
-    eps = 0.0 records the boundary candidate when the grid includes it.
-    """
-
-    entries: tuple
-    argmax_eps: float
-    sup_value: float
-
-    def value_at(self, eps):
-        for e, v in self.entries:
-            if e == eps:
-                return v
-        raise KeyError(f"eps (={eps}) was not evaluated")
-
-    def grid_values(self, grid):
-        return [self.value_at(float(e)) for e in grid.eps_values]
-
-
 def epsilon_profile(f, exp, grid=None):
     """Profile of the weighted norms behind ``grand_norm``.
 
     The profile's ``sup_value`` is exactly what ``grand_norm`` returns for
     the same inputs; both run the identical scan.
     """
-    grid = _resolve_grid(exp, grid)
-    res = _norm_sup(f.abs_values(), f.space.weights, exp, grid)
-    return EpsilonProfile(res.entries, res.argmax_eps, res.value)
+    return _norm_sup(f.abs_values(), f.space.weights, exp, _resolve_grid(exp, grid))
 
 
 @dataclass(frozen=True)
@@ -266,5 +231,5 @@ def embedding_constants(exp, eps, space, grid=None):
         return (e ** (theta / r)) * mass ** (1.0 / r - 1.0 / p)
 
     zero_limit = 1.0 if theta == 0.0 else 0.0
-    c_upper = _sup_over_grid(h, grid, zero_limit).value
+    c_upper = _sup_over_grid(h, grid, zero_limit).sup_value
     return EmbeddingConstants(c_upper, c_lower, float(eps))

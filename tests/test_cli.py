@@ -296,6 +296,18 @@ def run_in_process(tmp_path, config, *args):
     return code, out.getvalue(), err.getvalue()
 
 
+def test_norm_of_huge_values_is_finite(tmp_path):
+    # |f|^p overflows here; the report must still carry the scaled norm
+    f = SampledFunction(MeasureSpace.cyclic(16),
+                        1e160 * np.random.default_rng(8).random(16))
+    write_function(f, tmp_path / "big.csv")
+    code, out, err = run_in_process(tmp_path, {}, "norm", "--f", str(tmp_path / "big.csv"))
+    assert code == 0, err
+    e = GrandExponent(2.0, 1.0)
+    want = 1e160 * grand_norm(f.scaled(1e-160), e, make_epsilon_grid(e))
+    assert json.loads(out)["result"]["value"] == pytest.approx(want, rel=1e-12)
+
+
 @pytest.mark.parametrize("command", ["conv-check", "equivalence"])
 def test_zero_trials_is_an_input_error(tmp_path, command):
     code, out, err = run_in_process(tmp_path, {"trials": 0}, command)
@@ -315,6 +327,7 @@ def test_zero_trials_is_an_input_error(tmp_path, command):
     ({"window": {"members": [0, 1.5]}}, "window.members"),
     ({"seed": None}, "config.seed"),
     ({"trials": 2.0}, "config.trials"),
+    ({"eps_grid": {"refinement_rounds": 4}}, "refinement_rounds"),
 ])
 def test_mistyped_config_names_the_key(tmp_path, config, key):
     code, _, err = run_in_process(tmp_path, config, "witness")
@@ -343,7 +356,7 @@ _BAD_VALUES = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
                         st.lists(st.integers(), max_size=2),
                         st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
                         st.floats(0.1, 9.9).filter(lambda x: not x.is_integer()))
-_SECTIONS = {"eps_grid": ["points", "min_eps_fraction", "refinement_rounds", "tolerance"],
+_SECTIONS = {"eps_grid": ["points", "min_eps_fraction", "tolerance"],
              "space": ["kind", "atoms", "normalization"],
              "exponents": ["p", "q", "theta"],
              "window": ["size", "members"],

@@ -120,6 +120,16 @@ def test_sampled_function_basics():
     assert list((f - g).values) == [1.0, -3.0, 0.0, 2.0]
 
 
+@pytest.mark.parametrize("op", [
+    lambda f, g: f + g, lambda f, g: f - g, lambda f, g: f.pointwise_mul(g),
+], ids=["add", "sub", "pointwise_mul"])
+def test_pointwise_ops_reject_other_space(op):
+    f = SampledFunction.constant(MeasureSpace.cyclic(4), 1.0)
+    g = SampledFunction.constant(MeasureSpace.interval(4, COUNTING), 1.0)
+    with pytest.raises(ValueError, match="same space"):
+        op(f, g)
+
+
 def test_sampled_function_validation():
     sp = MeasureSpace.cyclic(4)
     with pytest.raises(ValueError, match="shape"):

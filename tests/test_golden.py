@@ -29,6 +29,13 @@ CASES = {
                       ["norm", "--f", "{g}/line12.jsonl"]),
     "profile_csv": ({"exponents": {"p": 1.5, "theta": 0.5}},
                     ["profile", "--f", "{g}/f16.csv", "--csv", "{tmp}/profile.csv"]),
+    # two grid points six decades apart of twelve: the golden polish runs
+    # into its step cap, so this case pins the cap
+    "profile_two_point_ladder": ({"exponents": {"p": 2.0, "theta": 0.0},
+                                  "eps_grid": {"points": 2, "min_eps_fraction": 1e-12}},
+                                 ["profile", "--f", "{g}/f16.csv"]),
+    "norm_tolerance": ({"eps_grid": {"tolerance": 1e-6}},
+                       ["norm", "--f", "{g}/f16.csv"]),
     "amalgam_cyclic": ({"space": {"atoms": 16},
                         "exponents": {"p": 2.0, "q": 3.0, "theta": 1.0},
                         "window": {"size": 3}},

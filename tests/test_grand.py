@@ -224,3 +224,19 @@ def test_embedding_constants_probability_theta0():
     con = embedding_constants(e, 1.0, sp, _grid(2.0, 0.0))
     assert con.c_upper == 1.0
     assert con.c_lower == 1.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("c", [1e160, 1e-170, 1e300, 1e-300])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+def test_homogeneity_near_float_limits(c, p, theta):
+    # |f|^r leaves float range for these scales; the norm must not
+    rng = np.random.default_rng(17)
+    e = GrandExponent(p, theta)
+    grid = _grid(p, theta)
+    for sp in (MeasureSpace.cyclic(16), MeasureSpace.counting(16)):
+        f = SampledFunction(sp, rng.uniform(-1.0, 1.0, 16))
+        assert grand_norm(f.scaled(c), e, grid) == pytest.approx(
+            c * grand_norm(f, e, grid), rel=1e-12)
+        assert lp_norm(f.scaled(c), p) == pytest.approx(c * lp_norm(f, p), rel=1e-12)
