@@ -350,7 +350,7 @@ def discrete_space_norm(lam, window, family, exp, grid=None):
     _disjoint_full_translates(window, family)
     grid = _resolve_grid(exp, grid)
     return _norm_sup(lam.abs_values(), lam.space.weights, exp, grid,
-                     scale_base=window.mass).sup_value
+                     scale_base=window.mass)[0].sup_value
 
 
 def discrete_space_bounds(window, exp):

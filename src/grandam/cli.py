@@ -342,10 +342,7 @@ def main(argv=None):
     try:
         config = RunConfig.load(args.config)
         seed = args.seed if args.seed is not None else config.seed
-        # powers that overflow are rescaled inside the norm kernel, and a
-        # value that is still not finite fails in render_report below
-        with np.errstate(over="ignore"):
-            code, result = args.handler(args, config, seed)
+        code, result = args.handler(args, config, seed)
         text = render_report({"schema_version": SCHEMA_VERSION, "command": args.command,
                               "result": result})
     except (ValueError, OSError) as err:

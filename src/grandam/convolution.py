@@ -8,11 +8,20 @@ normalization models a slab of the integers, where submultiplicativity
 genuinely fails, with a witness ratio that grows like m^(1 - 1/p) along
 widening indicator boxes.
 
-Convolutions are evaluated by direct summation: each call gathers the
-matrix g(x - y) from a strided view of g laid out along the group's
-factor axes, then takes one matrix-vector product. At the sizes treated
-here (a few thousand atoms) that is exact, obviously correct, and fast
-enough that no transform tricks are worth their roundoff.
+Convolutions are evaluated by direct summation: row x of the matrix
+g(x - y) is a window of a strided view over g laid out along the group's
+factor axes, and each call copies 64 such rows at a time into one
+matrix-vector product. Memory is O(64 * order + 2^k * order) for k
+factor axes: one block of rows plus the copy of g doubled along each
+of its k axes, which the view reads. On a cyclic group or a product of a few
+factors that stays far below order^2; on a product of many factors of
+two, such as Z_2^11, the doubled copy itself reaches order^2. A block
+never has a single row: numpy sends a one-row product to a plain dot,
+whose summation order differs from the matrix-vector kernel, so a lone
+last row joins the block before it. Every output then keeps the bits of
+the single full-matrix product taken with one BLAS thread. At the sizes
+treated here (a few thousand atoms) this is exact, obviously correct,
+and fast enough that no transform tricks are worth their roundoff.
 """
 
 import math
@@ -23,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (COUNTING, PROBABILITY, MeasureSpace, SampledFunction,
                    lp_norm)
-from .grand import _resolve_grid, grand_norm
+from .grand import _norm_sup, _resolve_grid, grand_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,7 +44,7 @@ class FiniteAbelianGroup:
     while counting weights model a finite stretch of a discrete group.
     Order, Haar weight and compactness are read off ``space``, the group's
     measure space. The group keeps no tables: :func:`convolve` gathers the
-    matrix g(x - y) afresh on each call.
+    rows g(x - y) afresh on each call, one block of rows at a time.
     """
 
     factors: tuple
@@ -70,26 +79,42 @@ class FiniteAbelianGroup:
         return SampledFunction(self.space, vals)
 
 
-def _difference_matrix(g, factors):
-    """gathered[x, y] = g(x - y), built per call from a strided view of g.
+# Rows of g(x - y) gathered per matrix-vector product. Heights of 8 to 128
+# keep the kernel's bits; heights of 2 or 3 rows do not.
+_BLOCK_ROWS = 64
 
-    Along each factor axis of length k, the doubled and reversed copy R
-    satisfies R[a + b] = g(-1 - a - b), so the window at a = k - 1 - x
-    holds g(x - b) at offset b.
-    """
-    k = len(factors)
-    doubled = np.tile(g.reshape(factors), (2,) * k)[(slice(None, None, -1),) * k]
-    windows = sliding_window_view(doubled, factors)
-    rows = tuple(slice(n - 1, None, -1) for n in factors)
-    return np.ascontiguousarray(windows[rows]).reshape(g.size, g.size)
+
+def _row_blocks(n):
+    """[start, end) row ranges of at most _BLOCK_ROWS + 1 rows, none of one row."""
+    starts = list(range(0, n, _BLOCK_ROWS))
+    if n - starts[-1] == 1 and len(starts) > 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [n])
 
 
 def convolve(f, g, group):
-    """(f * g)(x) = sum_y f(y) g(x - y) haar_weight, by direct summation."""
+    """(f * g)(x) = sum_y f(y) g(x - y) haar_weight, by direct summation.
+
+    Along each factor axis of length k, the doubled and reversed copy R
+    of g satisfies R[a + b] = g(-1 - a - b), so the window at
+    a = k - 1 - x holds g(x - b) at offset b; ``rows`` is that window
+    view indexed by the digits of x. R is built by tiling the reversed g,
+    which lays it out forward in memory, so every block copies forward.
+    """
     if not (group.space.compatible_with(f.space) and group.space.compatible_with(g.space)):
         raise ValueError("both functions must live on the group's space")
-    gathered = _difference_matrix(g.values, group.factors)
-    out = gathered @ (f.values * group.haar_weight)
+    factors, n = group.factors, group.order
+    flip = (slice(None, None, -1),) * len(factors)
+    doubled = np.tile(g.values.reshape(factors)[flip], (2,) * len(factors))
+    rows = sliding_window_view(doubled, factors)[tuple(slice(k - 1, None, -1) for k in factors)]
+    x_digits = np.unravel_index(np.arange(n), factors)
+    v = f.values * group.haar_weight
+    out = np.empty(n, dtype=np.result_type(g.values, v))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, e in _row_blocks(n):
+            out[s:e] = rows[tuple(d[s:e] for d in x_digits)].reshape(e - s, n) @ v
+    if not np.isfinite(out).all():
+        raise ValueError("the convolution overflowed: some value of f * g is not finite")
     return SampledFunction(group.space, out)
 
 
@@ -150,22 +175,22 @@ def submultiplicativity_check(f, g, group, exp, grid=None, tol=1e-12):
 
     The per-eps table holds the raw L^(p-eps) inequality (no epsilon
     weight), which is the inner step of the supremum argument and holds
-    on any probability-normalized group.
+    on any probability-normalized group. Its norms are the ones the three
+    grand-norm scans evaluated at the grid points, the same floats that
+    ``lp_norm(h, p - eps)`` returns.
     """
     grid = _resolve_grid(exp, grid)
     conv = convolve(f, g, group)
-    lhs = grand_norm(conv, exp, grid)
-    nf = grand_norm(f, exp, grid)
-    ng = grand_norm(g, exp, grid)
-    rhs = nf * ng
+    (conv_sup, conv_norms), (f_sup, f_norms), (g_sup, g_norms) = (
+        _norm_sup(h.abs_values(), h.space.weights, exp, grid) for h in (conv, f, g))
+    lhs = conv_sup.sup_value
+    rhs = f_sup.sup_value * g_sup.sup_value
 
     rows = []
-    for eps in grid.eps_values:
-        r = exp.p - float(eps)
-        row_lhs = lp_norm(conv, r)
-        row_rhs = lp_norm(f, r) * lp_norm(g, r)
-        rows.append(PerEpsRow(float(eps), row_lhs, row_rhs,
-                              row_lhs <= row_rhs * (1.0 + tol)))
+    for eps, row_lhs, nf_r, ng_r in zip(grid.eps_values.tolist(), conv_norms,
+                                        f_norms, g_norms):
+        row_rhs = nf_r * ng_r
+        rows.append(PerEpsRow(eps, row_lhs, row_rhs, row_lhs <= row_rhs * (1.0 + tol)))
 
     ratio = lhs / rhs if rhs != 0.0 else (math.inf if lhs > 0.0 else 0.0)
     threshold = 1.0 + tol

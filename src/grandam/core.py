@@ -312,7 +312,9 @@ def lp_norm(f, r):
     r = float(r)
     if not math.isfinite(r) or r < 1.0:
         raise ValueError(f"r (={r}) must be >= 1 (math.inf for the sup norm)")
-    return _weighted_r_norm(f.abs_values(), f.space.weights, r)
+    # powers that overflow are rescaled inside the kernel
+    with np.errstate(over="ignore"):
+        return _weighted_r_norm(f.abs_values(), f.space.weights, r)
 
 
 def grand_factor(eps, exp):

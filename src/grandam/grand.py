@@ -18,6 +18,8 @@ embedding constants, so all of them share one evaluation path.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import _weighted_r_norm, grand_factor, lp_norm, make_epsilon_grid
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -69,16 +71,16 @@ def _golden_max(g, lo, hi, rel_tol, record):
         it += 1
 
 
-def _sup_over_grid(g, grid, zero_limit):
+def _sup_over_grid(g, grid, zero_limit, vals):
     """Supremum of ``g`` over the grid with golden refinement.
 
-    Refinement brackets the two best local maxima of the grid scan, so a
-    secondary hump cannot be silently dropped. ``zero_limit`` is the
-    eps -> 0 boundary value; it only takes over when it strictly beats
-    everything actually evaluated.
+    ``vals`` holds g at the grid points, in grid order. Refinement
+    brackets the two best local maxima of the grid scan, so a secondary
+    hump cannot be silently dropped. ``zero_limit`` is the eps -> 0
+    boundary value; it only takes over when it strictly beats everything
+    actually evaluated.
     """
     eps = grid.eps_values.tolist()
-    vals = [g(e) for e in eps]
     n = len(vals)
     probes = []
     local = [i for i in range(n)
@@ -102,21 +104,33 @@ def _norm_sup(abs_vals, weights, exp, grid, scale_base=1.0):
     over the grid. ``scale_base`` = 1 gives the plain grand norm; the
     discrete translate-step norm passes the window mass instead, making
     the two code paths bit-identical whenever that mass is exactly 1.
+
+    Returns the profile and the plain norms ||.||_{p-eps} at the grid
+    points, in grid order, so a caller that tabulates them need not
+    evaluate them again. Powers that overflow are rescaled inside the
+    r-norm kernel, so overflow warnings are off for the whole scan.
     """
     p = exp.p
     theta = exp.theta
 
-    def g(eps):
+    def weight(eps):
         r = p - eps
-        return (eps ** (theta / r)) * scale_base ** (1.0 / r) \
-            * _weighted_r_norm(abs_vals, weights, r)
+        return (eps ** (theta / r)) * scale_base ** (1.0 / r)
 
-    if theta == 0.0:
-        zero_limit = scale_base ** (1.0 / p) * _weighted_r_norm(abs_vals, weights, p)
-    else:
-        # eps^(theta/(p-eps)) -> 0 while the norm stays bounded.
-        zero_limit = 0.0
-    return _sup_over_grid(g, grid, zero_limit)
+    def g(eps):
+        return weight(eps) * _weighted_r_norm(abs_vals, weights, p - eps)
+
+    with np.errstate(over="ignore"):
+        eps = grid.eps_values.tolist()
+        norms = [_weighted_r_norm(abs_vals, weights, p - e) for e in eps]
+        if theta == 0.0:
+            zero_limit = scale_base ** (1.0 / p) * _weighted_r_norm(abs_vals, weights, p)
+        else:
+            # eps^(theta/(p-eps)) -> 0 while the norm stays bounded.
+            zero_limit = 0.0
+        vals = [weight(e) * norm for e, norm in zip(eps, norms)]
+        profile = _sup_over_grid(g, grid, zero_limit, vals)
+    return profile, norms
 
 
 def _resolve_grid(exp, grid):
@@ -136,7 +150,7 @@ def grand_norm(f, exp, grid=None):
     sits in the interior or at eps = p - 1 and the golden polish locates it.
     """
     grid = _resolve_grid(exp, grid)
-    return _norm_sup(f.abs_values(), f.space.weights, exp, grid).sup_value
+    return _norm_sup(f.abs_values(), f.space.weights, exp, grid)[0].sup_value
 
 
 def grand_sequence_norm(u, exp, grid=None):
@@ -152,7 +166,7 @@ def epsilon_profile(f, exp, grid=None):
     The profile's ``sup_value`` is exactly what ``grand_norm`` returns for
     the same inputs; both run the identical scan.
     """
-    return _norm_sup(f.abs_values(), f.space.weights, exp, _resolve_grid(exp, grid))
+    return _norm_sup(f.abs_values(), f.space.weights, exp, _resolve_grid(exp, grid))[0]
 
 
 @dataclass(frozen=True)
@@ -231,5 +245,6 @@ def embedding_constants(exp, eps, space, grid=None):
         return (e ** (theta / r)) * mass ** (1.0 / r - 1.0 / p)
 
     zero_limit = 1.0 if theta == 0.0 else 0.0
-    c_upper = _sup_over_grid(h, grid, zero_limit).sup_value
+    vals = [h(e) for e in grid.eps_values.tolist()]
+    c_upper = _sup_over_grid(h, grid, zero_limit, vals).sup_value
     return EmbeddingConstants(c_upper, c_lower, float(eps))

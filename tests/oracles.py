@@ -3,10 +3,15 @@
 Everything here is deliberately written against plain Python floats and
 loops, with a dense scan plus ternary polish instead of the package's
 coarse grid plus golden refinement, so the two sides share no code
-paths beyond the defining formulas.
+paths beyond the defining formulas. The one numpy helper, ``full_gather``,
+is the order^2 matrix that ``convolve`` used to build whole; it pins the
+bits of the block-by-block product.
 """
 
 import math
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 SCAN_POINTS = 4096
 TINY_FRACTION = 1e-12
@@ -138,3 +143,18 @@ def brute_group_convolve(fvals, gvals, weight, factors):
             acc += fvals[y] * gvals[brute_translate(x, brute_negate(y, factors), factors)] * weight
         out.append(acc)
     return out
+
+
+def full_gather(g, factors):
+    """gathered[x, y] = g(x - y) on Z_n1 x ... x Z_nk, as one order^2 array.
+
+    Along each factor axis of length k, the doubled and reversed copy R
+    satisfies R[a + b] = g(-1 - a - b), so the window at a = k - 1 - x
+    holds g(x - b) at offset b. ``full_gather(g, factors) @ (f * weight)``
+    is the convolution as one matrix-vector product.
+    """
+    k = len(factors)
+    doubled = np.tile(g.reshape(factors), (2,) * k)[(slice(None, None, -1),) * k]
+    windows = sliding_window_view(doubled, factors)
+    rows = tuple(slice(n - 1, None, -1) for n in factors)
+    return np.ascontiguousarray(windows[rows]).reshape(g.size, g.size)

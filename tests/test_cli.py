@@ -308,6 +308,21 @@ def test_norm_of_huge_values_is_finite(tmp_path):
     assert json.loads(out)["result"]["value"] == pytest.approx(want, rel=1e-12)
 
 
+def test_conv_check_overflow_is_one_error_document(workdir, tmp_path):
+    # f * g leaves float range; stderr must hold the error document alone,
+    # with no numpy warning printed ahead of it
+    tmp, _, _ = workdir
+    big = SampledFunction(MeasureSpace.cyclic(16),
+                          1e160 * np.random.default_rng(9).random(16))
+    write_function(big, tmp_path / "big.csv")
+    code, out, err = run_cli("--config", str(tmp / "cfg.json"), "conv-check",
+                             "--f", str(tmp_path / "big.csv"),
+                             "--g", str(tmp_path / "big.csv"))
+    assert code == 2
+    assert out == ""
+    assert "convolution overflowed" in json.loads(err)["error"]
+
+
 @pytest.mark.parametrize("command", ["conv-check", "equivalence"])
 def test_zero_trials_is_an_input_error(tmp_path, command):
     code, out, err = run_in_process(tmp_path, {"trials": 0}, command)

@@ -1,16 +1,23 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import grandam
 from grandam.amalgam import Window
-from grandam.convolution import (FiniteAbelianGroup, amalgam_submultiplicativity_check,
-                                 convolve, noncompact_witness,
-                                 submultiplicativity_check)
+from grandam.convolution import (_BLOCK_ROWS, FiniteAbelianGroup,
+                                 amalgam_submultiplicativity_check, convolve,
+                                 noncompact_witness, submultiplicativity_check)
 from grandam.core import (COUNTING, PROBABILITY, GrandExponent, MeasureSpace,
                           SampledFunction, lp_norm, make_epsilon_grid)
+from grandam.grand import grand_norm
 
-from oracles import brute_convolve, brute_group_convolve
+from oracles import brute_convolve, brute_group_convolve, full_gather
 
 
 def test_group_basics():
@@ -88,6 +95,66 @@ def test_product_group_convolution_matches_digit_sum(factors, normalization):
     np.testing.assert_allclose(convolve(f, h, g).values, want, rtol=1e-12, atol=1e-15)
 
 
+def _bit_mismatches():
+    """Groups on which ``convolve`` differs in any bit from the full gather."""
+    cases = [(n,) for n in range(1, 301)]
+    cases += [(k * _BLOCK_ROWS + 1,) for k in (1, 2, 16, 32)]   # a one-row tail
+    cases += [(3, 5, 7), (2, 3, 5, 7), (32, 64)]
+    rng = np.random.default_rng(38)
+    bad = []
+    for factors in cases:
+        for normalization in (PROBABILITY, COUNTING):
+            g = FiniteAbelianGroup(factors, normalization)
+            f = SampledFunction(g.space, rng.uniform(-1.0, 1.0, g.order))
+            h = SampledFunction(g.space, rng.uniform(-1.0, 1.0, g.order))
+            want = full_gather(h.values, factors) @ (f.values * g.haar_weight)
+            got = convolve(f, h, g).values
+            if not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
+                bad.append((factors, normalization))
+    return bad
+
+
+def test_blocked_convolve_keeps_the_full_gather_bits():
+    # Above about 680 atoms a threaded BLAS splits the rows of the full
+    # order^2 product among its threads, which moves the reference's own
+    # bits; convolve's blocks stay below that size. So the comparison runs
+    # in a child process with one BLAS thread.
+    src = Path(grandam.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from test_convolution import _bit_mismatches as m; print(m())"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("factors", [(4096,), (64, 64), (2,) * 11])
+def test_convolve_memory_within_its_documented_budget(factors):
+    # O(block * order + 2^k * order): one block of rows plus the copy of g
+    # doubled along each of the k factor axes, which np.tile builds through
+    # a half-size intermediate. On Z_4096 that is about 4 MiB, far below
+    # the 128 MiB of the order^2 gather; on Z_2^11 the copy alone is order^2
+    g = FiniteAbelianGroup(factors)
+    rng = np.random.default_rng(41)
+    f = SampledFunction(g.space, rng.random(g.order))
+    h = SampledFunction(g.space, rng.random(g.order))
+    tracemalloc.start()
+    try:
+        convolve(f, h, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (2 * 65 + 1.5 * 2 ** len(factors)) * g.order * 8   # blocks of <= 65 rows
+
+
+def test_convolve_overflow_is_a_value_error():
+    g = FiniteAbelianGroup.cyclic(16)
+    big = SampledFunction(g.space, 1e160 * np.random.default_rng(42).random(16))
+    with pytest.raises(ValueError, match="convolution overflowed"):
+        convolve(big, big, g)
+
+
 def test_l1_norm_multiplicative_for_nonnegative():
     g = FiniteAbelianGroup.cyclic(8)
     rng = np.random.default_rng(34)
@@ -151,6 +218,27 @@ def test_submultiplicativity_counting_warns():
     doc = rep.to_doc()
     assert doc["warning"] == "hypotheses-not-met"
     assert len(doc["per_eps"]) == len(make_epsilon_grid(e).eps_values)
+
+
+@pytest.mark.parametrize("factors", [(48,), (4, 6)])
+@pytest.mark.parametrize("normalization", [PROBABILITY, COUNTING])
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+def test_per_eps_rows_are_the_plain_lp_norms(factors, normalization, theta):
+    g = FiniteAbelianGroup(factors, normalization)
+    rng = np.random.default_rng(40)
+    f = SampledFunction(g.space, rng.uniform(-1.0, 1.0, g.order))
+    h = SampledFunction(g.space, rng.random(g.order))
+    e = GrandExponent(2.5, theta)
+    grid = make_epsilon_grid(e)
+    rep = submultiplicativity_check(f, h, g, e, grid)
+    conv = convolve(f, h, g)
+    assert rep.lhs == grand_norm(conv, e, grid)
+    assert rep.rhs == grand_norm(f, e, grid) * grand_norm(h, e, grid)
+    assert [row.eps for row in rep.per_eps] == grid.eps_values.tolist()
+    for row in rep.per_eps:
+        r = e.p - row.eps
+        assert row.lhs == lp_norm(conv, r)
+        assert row.rhs == lp_norm(f, r) * lp_norm(h, r)
 
 
 def test_amalgam_algebra_certified_constant():

@@ -226,7 +226,6 @@ def test_embedding_constants_probability_theta0():
     assert con.c_lower == 1.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("c", [1e160, 1e-170, 1e300, 1e-300])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("theta", [0.0, 1.0])
