@@ -12,11 +12,15 @@ against a bound computed for that exact instance.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import (CYCLIC, MeasureSpace, SampledFunction, lp_norm)
 from .grand import (_norm_sup, _resolve_grid, grand_norm, grand_sequence_norm)
+
+_PARTITION_TOL = 1e-12   # absolute, on the sum-to-one and sup-bound conditions
+_SLACK = 1e-9            # relative, on each equivalence ratio against its bounds
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,6 +70,8 @@ def control_function(f, window, exp, grid=None):
     Empty translates (interval clipping) contribute the value 0.
     """
     window.require_nonempty()
+    if not window.space.compatible_with(f.space):
+        raise ValueError("window and function must live on the same space")
     grid = _resolve_grid(exp, grid)
     sp = f.space
     vals = np.empty(sp.size)
@@ -92,7 +98,8 @@ class Bupu:
     ``functions[i]`` is psi_i, supported inside window + centers[i], with
     sup norms at most ``sup_bound`` and pointwise sum identically one.
     ``ragged`` flags construction from blocks that did not divide the
-    space evenly.
+    space evenly. A broken partition can still be built; its
+    ``validation`` says which conditions fail.
     """
 
     functions: tuple
@@ -110,6 +117,8 @@ class Bupu:
         for psi in self.functions:
             if psi.space is not sp:
                 raise ValueError("all partition members must share one space")
+        if not self.window.space.compatible_with(sp):
+            raise ValueError("window and partition must live on the same space")
         self.window.require_nonempty()
         object.__setattr__(self, "centers", tuple(int(c) for c in self.centers))
 
@@ -119,6 +128,34 @@ class Bupu:
 
     def __len__(self):
         return len(self.functions)
+
+    @cached_property
+    def supports(self):
+        """Read-only incidence: entry [i, x] says whether atom x lies in window + centers[i]."""
+        inc = _translates(self.space, self.window.members, self.centers)
+        inc.setflags(write=False)
+        return inc
+
+    @cached_property
+    def validation(self):
+        """The four partition conditions, checked on first access and kept."""
+        total = sum(psi.values.real for psi in self.functions)
+        sum_dev = float(np.max(np.abs(total - 1.0)))
+        sup_measured = max(lp_norm(psi, np.inf) for psi in self.functions)
+        nonzero = np.array([psi.values != 0.0 for psi in self.functions])
+        violations = int(np.count_nonzero(nonzero & ~self.supports))
+        overlap = int(self.supports.sum(axis=0).max())
+        return BupuValidation(
+            sum_deviation=sum_dev,
+            passed_a=sum_dev <= _PARTITION_TOL,
+            sup_measured=sup_measured,
+            sup_bound=self.sup_bound,
+            passed_b=sup_measured <= self.sup_bound + _PARTITION_TOL,
+            support_violations=violations,
+            passed_c=violations == 0,
+            max_overlap=overlap,
+            passed_d=True,  # finite index families always have finite overlap
+        )
 
 
 def make_uniform_bupu(space, block_size):
@@ -144,8 +181,7 @@ def make_uniform_bupu(space, block_size):
         sup_bound=1.0,
         ragged=(n % block_size != 0),
     )
-    report = validate_bupu(bupu)
-    assert report.all_passed, "uniform blocks must satisfy the partition conditions"
+    assert bupu.validation.all_passed, "uniform blocks must satisfy the partition conditions"
     return bupu
 
 
@@ -177,8 +213,7 @@ def make_triangular_bupu(space, spacing):
         sup_bound=1.0,
         ragged=False,
     )
-    report = validate_bupu(bupu)
-    assert report.all_passed, "hat functions must satisfy the partition conditions"
+    assert bupu.validation.all_passed, "hat functions must satisfy the partition conditions"
     return bupu
 
 
@@ -229,32 +264,9 @@ def _translates(space, members, shifts):
     return inc[:, :space.size]
 
 
-def validate_bupu(bupu, tol=1e-12):
-    """Check the four partition conditions and report measured quantities."""
-    sp = bupu.space
-    total = np.zeros(sp.size)
-    for psi in bupu.functions:
-        total = total + psi.values.real
-    sum_dev = float(np.max(np.abs(total - 1.0)))
-
-    sup_measured = max(lp_norm(psi, np.inf) for psi in bupu.functions)
-
-    supports = _translates(sp, bupu.window.members, bupu.centers)
-    nonzero = np.array([psi.values != 0.0 for psi in bupu.functions])
-    violations = int(np.count_nonzero(nonzero & ~supports))
-    overlap = int(supports.sum(axis=0).max())
-
-    return BupuValidation(
-        sum_deviation=sum_dev,
-        passed_a=sum_dev <= tol,
-        sup_measured=sup_measured,
-        sup_bound=bupu.sup_bound,
-        passed_b=sup_measured <= bupu.sup_bound + tol,
-        support_violations=violations,
-        passed_c=violations == 0,
-        max_overlap=overlap,
-        passed_d=True,  # finite index families always have finite overlap
-    )
+def validate_bupu(bupu):
+    """The partition's four conditions with measured quantities (``bupu.validation``)."""
+    return bupu.validation
 
 
 # ----------------------------------------------------------------------
@@ -375,8 +387,7 @@ def _piece_norms(f, bupu, local_exp, local_grid):
 def discrete_amalgam_norm(f, bupu, local_exp, global_exp,
                           local_grid=None, global_grid=None):
     """Grand sequence norm of the per-piece local norms i -> ||f psi_i||."""
-    report = validate_bupu(bupu)
-    if not report.all_passed:
+    if not bupu.validation.all_passed:
         raise ValueError("partition of unity fails its conditions; see validate_bupu")
     seq = _piece_norms(f, bupu, local_exp, _resolve_grid(local_exp, local_grid))
     return grand_sequence_norm(seq, global_exp, global_grid)
@@ -440,8 +451,13 @@ def _ratio(a, b):
     return a / b
 
 
+def _within(ratio, low, high):
+    """Whether a ratio (None when undefined) lies in [low, high] up to the slack."""
+    return ratio is None or low * (1.0 - _SLACK) <= ratio <= high * (1.0 + _SLACK)
+
+
 def equivalence_report(f, qwindow, bupu, local_exp, global_exp,
-                       local_grid=None, global_grid=None, slack=1e-9):
+                       local_grid=None, global_grid=None):
     """Compare the windowed amalgam norm against its BUPU discretization.
 
     Requires a cyclic space with uniform weights and an unflagged,
@@ -466,7 +482,7 @@ def equivalence_report(f, qwindow, bupu, local_exp, global_exp,
     if sp.geometry != CYCLIC:
         raise ValueError("equivalence bounds are derived for cyclic spaces only")
     w_atom = sp.uniform_weight()
-    validation = validate_bupu(bupu)
+    validation = bupu.validation
     if not validation.all_passed:
         raise ValueError("partition of unity fails its conditions; see validate_bupu")
 
@@ -481,7 +497,7 @@ def equivalence_report(f, qwindow, bupu, local_exp, global_exp,
     step = grand_norm(step_fn, global_exp, global_grid)
 
     # instance geometry: overlap count and difference-window mass ...
-    supports = _translates(bupu.space, bupu.window.members, bupu.centers)
+    supports = bupu.supports
     q_translates = _translates(sp, qwindow.members, sp.points)
     meets = q_translates @ supports.T        # [x, i]: Q + x meets U + y_i
     kappa = int(meets.sum(axis=1).max())
@@ -501,13 +517,8 @@ def equivalence_report(f, qwindow, bupu, local_exp, global_exp,
         "step_over_discrete": _ratio(step, disc),
         "continuous_over_step": _ratio(cont, step),
     }
-    within = True
-    r = ratios["continuous_over_discrete"]
-    if r is not None:
-        within = within and c_low * (1.0 - slack) <= r <= c_up * (1.0 + slack)
-    r = ratios["step_over_discrete"]
-    if r is not None:
-        within = within and m_low * (1.0 - slack) <= r <= m_high * (1.0 + slack)
+    within = (_within(ratios["continuous_over_discrete"], c_low, c_up)
+              and _within(ratios["step_over_discrete"], m_low, m_high))
 
     return EquivalenceReport(
         continuous=cont,

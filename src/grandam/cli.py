@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amalgam import (Window, amalgam_norm, equivalence_report,
-                      make_uniform_bupu, validate_bupu)
+from .amalgam import Window, amalgam_norm, equivalence_report, make_uniform_bupu
 from .convolution import (FiniteAbelianGroup, noncompact_witness,
                           submultiplicativity_check)
 from .core import (COUNTING, CYCLIC, INTERVAL, PROBABILITY, GrandExponent,
@@ -223,7 +222,7 @@ def cmd_amalgam(args, config, seed):
 def cmd_bupu_validate(args, config, seed):
     space = config.build_space()
     bupu = make_uniform_bupu(space, config.block_size)
-    report = validate_bupu(bupu)
+    report = bupu.validation
     doc = {
         "block_size": config.block_size,
         "pieces": len(bupu),

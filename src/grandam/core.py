@@ -56,7 +56,6 @@ class MeasureSpace:
     weights: np.ndarray
     geometry: str = CYCLIC
     factors: tuple = None
-    label: str = ""
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float, copy=True)
@@ -81,27 +80,25 @@ class MeasureSpace:
     # constructors
 
     @classmethod
-    def cyclic(cls, n, normalization=PROBABILITY, label=""):
+    def cyclic(cls, n, normalization=PROBABILITY):
         """Z_n with uniform weights (1/n for probability, 1 for counting)."""
-        return cls(_normalized_weights(n, normalization), CYCLIC, None, label or f"Z_{n}")
+        return cls(_normalized_weights(n, normalization), CYCLIC)
 
     @classmethod
-    def interval(cls, n, normalization=PROBABILITY, label=""):
+    def interval(cls, n, normalization=PROBABILITY):
         """n atoms on a line segment; translations clip at the ends."""
-        return cls(_normalized_weights(n, normalization), INTERVAL, None, label)
+        return cls(_normalized_weights(n, normalization), INTERVAL)
 
     @classmethod
-    def counting(cls, n, label=""):
+    def counting(cls, n):
         """Index set {0..n-1} with counting measure, for sequence norms."""
-        return cls(_normalized_weights(n, COUNTING), INTERVAL, None, label or f"J_{n}")
+        return cls(_normalized_weights(n, COUNTING), INTERVAL)
 
     @classmethod
-    def product(cls, factors, normalization=PROBABILITY, label=""):
+    def product(cls, factors, normalization=PROBABILITY):
         """Product group Z_n1 x ... x Z_nk, flattened row-major."""
         fac = _group_factors(factors)
-        n = math.prod(fac)
-        name = label or "x".join(f"Z_{k}" for k in fac)
-        return cls(_normalized_weights(n, normalization), CYCLIC, fac, name)
+        return cls(_normalized_weights(math.prod(fac), normalization), CYCLIC, fac)
 
     # ------------------------------------------------------------------
     # basic queries

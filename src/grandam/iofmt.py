@@ -85,7 +85,7 @@ def _parse_rows_jsonl(lines):
     return rows
 
 
-def load_function(path, fmt=None, geometry=CYCLIC, label=""):
+def load_function(path, fmt=None, geometry=CYCLIC):
     """Read a sampled function (and its measure space) from a table file.
 
     Indices must enumerate 0..n-1 without gaps or repeats, and weights
@@ -117,7 +117,7 @@ def load_function(path, fmt=None, geometry=CYCLIC, label=""):
     for _, idx, w, v in rows:
         weights[idx] = w
         values[idx] = v
-    space = MeasureSpace(weights, geometry=geometry, label=label)
+    space = MeasureSpace(weights, geometry=geometry)
     return SampledFunction(space, values)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from grandam import amalgam
 from grandam.amalgam import (Bupu, Window, amalgam_norm, control_function,
                              discrete_amalgam_norm, discrete_space_bounds,
                              discrete_space_norm, equivalence_report,
@@ -85,6 +86,31 @@ def test_control_translation_covariance():
         np.testing.assert_allclose(Fs.values, F.translated(s).values, rtol=1e-12)
 
 
+@pytest.mark.parametrize("window_atoms", [16, 4])
+def test_window_from_another_space_is_rejected(window_atoms):
+    # a Z_16 window indexed past Z_8; a Z_4 window's translates wrap mod 4
+    # and would silently miss atoms 4..7
+    f = SampledFunction(MeasureSpace.cyclic(8), np.arange(8.0))
+    window = Window(MeasureSpace.cyclic(window_atoms), (2, 3))
+    with pytest.raises(ValueError, match="same space"):
+        control_function(f, window, E21, G21)
+    with pytest.raises(ValueError, match="same space"):
+        amalgam_norm(f, window, E21, E21, G21, G21)
+    bupu = make_uniform_bupu(f.space, 4)
+    with pytest.raises(ValueError, match="same space"):
+        equivalence_report(f, window, bupu, E21, E21, G21, G21)
+    # a partition's window too: its mass would come from the wrong space
+    with pytest.raises(ValueError, match="same space"):
+        Bupu(bupu.functions, bupu.centers, window, 1.0)
+
+
+def test_window_on_an_equal_space_is_accepted():
+    f = SampledFunction(MeasureSpace.cyclic(8), np.arange(8.0))
+    window = Window(MeasureSpace.cyclic(8), (0, 1))
+    assert amalgam_norm(f, window, E21, E21, G21, G21) == \
+        amalgam_norm(f, Window(f.space, (0, 1)), E21, E21, G21, G21)
+
+
 def test_amalgam_norm_oracle_agreement():
     rng = np.random.default_rng(23)
     sp = MeasureSpace.cyclic(8)
@@ -137,6 +163,57 @@ def test_broken_partition_is_reported_not_raised():
     assert not rep.passed_a
     assert rep.sum_deviation == pytest.approx(0.5)
     assert not rep.all_passed
+
+
+def test_partition_is_validated_once():
+    bupu = make_uniform_bupu(MeasureSpace.cyclic(12), 3)
+    assert validate_bupu(bupu) is validate_bupu(bupu)
+    assert validate_bupu(bupu) is bupu.validation
+    assert bupu.supports is bupu.supports
+    assert not bupu.supports.flags.writeable
+    assert bupu.supports.shape == (4, 12)
+
+
+def _count_translates(monkeypatch):
+    calls = []
+    original = amalgam._translates
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(amalgam, "_translates", counting)
+    return calls
+
+
+def test_equivalence_report_builds_one_incidence(monkeypatch):
+    # the factory already validated the partition and built its supports;
+    # the report only adds the incidence of the Q translates
+    sp = MeasureSpace.cyclic(16)
+    bupu = make_uniform_bupu(sp, 4)
+    calls = _count_translates(monkeypatch)
+    equivalence_report(SampledFunction.indicator(sp, [0]), Window(sp, (0, 1, 2, 3)),
+                       bupu, E21, E21, G21, G21)
+    assert len(calls) == 1
+
+
+def test_discrete_amalgam_norm_reuses_the_validation(monkeypatch):
+    sp = MeasureSpace.cyclic(12)
+    bupu = make_triangular_bupu(sp, 4)
+    calls = _count_translates(monkeypatch)
+    discrete_amalgam_norm(SampledFunction.constant(sp, 1.0), bupu, E21, E21, G21, G21)
+    assert calls == []
+
+
+def test_broken_partition_is_rejected_by_the_norms():
+    sp = MeasureSpace.cyclic(6)
+    half = SampledFunction.constant(sp, 0.5)
+    bupu = Bupu(functions=(half,), centers=(0,),
+                window=Window(sp, tuple(range(6))), sup_bound=1.0)
+    with pytest.raises(ValueError, match="fails its conditions"):
+        discrete_amalgam_norm(half, bupu, E21, E21, G21, G21)
+    with pytest.raises(ValueError, match="fails its conditions"):
+        equivalence_report(half, Window(sp, (0,)), bupu, E21, E21, G21, G21)
 
 
 def test_triangular_bupu_overlap_two():

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import inspect
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -398,6 +399,68 @@ def _malformed_configs(draw):
 @given(config=_malformed_configs())
 def test_malformed_config_always_exits_two(tmp_path_factory, config):
     code, out, err = run_in_process(tmp_path_factory.mktemp("h"), config, "bupu-validate")
+    assert code == 2
+    assert out == ""
+    assert set(json.loads(err)) == {"schema_version", "command", "error"}
+
+
+_GARBAGE = st.text(alphabet="abxyz_ ", min_size=1, max_size=4)   # parses as no number
+_NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+def _csv_line(row):
+    return ",".join(v if isinstance(v, str) else repr(v) for v in row)
+
+
+@st.composite
+def _malformed_function_files(draw):
+    """(suffix, bytes): a table of one to six atoms with exactly one defect."""
+    fmt = draw(st.sampled_from(["csv", "jsonl"]))
+    n = draw(st.integers(1, 6))
+    rows = [[i, draw(st.floats(1e-3, 1e3)), draw(st.floats(-1e3, 1e3))] for i in range(n)]
+    k = draw(st.integers(0, n - 1))
+    defect = draw(st.sampled_from(["index", "duplicate", "weight", "value", "empty",
+                                   "bytes", "garbage", "shape"]))
+    if defect == "index":          # leaves a gap in 0..n-1
+        rows[k][0] = draw(st.sampled_from([-1, n, n + 3]))
+    elif defect == "duplicate":
+        rows.append(list(rows[k]))
+    elif defect == "weight":
+        rows[k][1] = draw(st.one_of(st.sampled_from([0.0, -1.0]), _NON_FINITE))
+    elif defect == "value":
+        rows[k][2] = draw(_NON_FINITE)
+    elif defect == "empty":
+        rows = []
+    elif defect == "garbage":      # a field that is not a number
+        rows[k][draw(st.integers(0, 2))] = draw(_GARBAGE)
+    if fmt == "csv":
+        lines = ["index,weight,value"] + [_csv_line(r) for r in rows]
+        if defect == "shape":      # four fields or two
+            line = lines[k + 1]
+            lines[k + 1] = draw(st.sampled_from([line + ",1.0", line.rsplit(",", 1)[0]]))
+    else:
+        lines = [json.dumps(dict(zip("iwv", r))) for r in rows]
+        if defect == "shape":
+            obj = dict(zip("iwv", rows[k]))
+            lines[k] = draw(st.sampled_from([
+                json.dumps({**obj, "x": 1}), json.dumps(rows[k]),
+                json.dumps({"i": obj["i"], "w": obj["w"]}),
+                json.dumps({**obj, "i": obj["i"] + 0.5}), lines[k][:-1]]))
+    data = ("\n".join(lines) + "\n").encode()
+    if defect == "bytes":          # not UTF-8
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff\xfe" + data[at:]
+    return fmt, data
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_malformed_function_files())
+def test_malformed_function_file_always_exits_two(tmp_path_factory, case):
+    fmt, data = case
+    tmp = tmp_path_factory.mktemp("h")
+    path = tmp / f"f.{fmt}"
+    path.write_bytes(data)
+    code, out, err = run_in_process(tmp, {}, "norm", "--f", str(path))
     assert code == 2
     assert out == ""
     assert set(json.loads(err)) == {"schema_version", "command", "error"}

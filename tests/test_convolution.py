@@ -11,6 +11,7 @@ import pytest
 import grandam
 from grandam.amalgam import Window
 from grandam.convolution import (_BLOCK_ROWS, FiniteAbelianGroup,
+                                 _box_self_convolution,
                                  amalgam_submultiplicativity_check, convolve,
                                  noncompact_witness, submultiplicativity_check)
 from grandam.core import (COUNTING, PROBABILITY, GrandExponent, MeasureSpace,
@@ -276,6 +277,34 @@ def test_witness_ratios_grow_along_doubling():
         assert rep.ratio_m > prev
         assert rep.ratio_2m > rep.ratio_m
         prev = rep.ratio_m
+
+
+def test_box_self_convolution_keeps_the_convolve_bits():
+    # the witness builds its triangle directly; these are the bits the
+    # O(m^2) convolution on Z_2m with counting weights gives
+    for m in range(2, 40):
+        group = FiniteAbelianGroup.cyclic(2 * m, COUNTING)
+        box = SampledFunction.indicator(group.space, range(m))
+        want = convolve(box, box, group).values
+        got = _box_self_convolution(m)
+        assert got.space.is_counting and got.space.size == 2 * m
+        assert got.values.tobytes() == want.tobytes(), m
+
+
+@pytest.mark.parametrize("normalization", [PROBABILITY, COUNTING])
+def test_amalgam_algebra_warning_restates_hypotheses(normalization):
+    g = FiniteAbelianGroup.cyclic(8, normalization)
+    box = SampledFunction.indicator(g.space, range(4))
+    e = GrandExponent(2.0, 1.0)
+    grid = make_epsilon_grid(e)
+    rep = amalgam_submultiplicativity_check(box, box, g, Window(g.space, (0, 1)),
+                                            e, e, grid, grid)
+    assert rep.hypotheses_met == (normalization == PROBABILITY)
+    doc = rep.to_doc()
+    if rep.hypotheses_met:
+        assert rep.warning is None and "warning" not in doc
+    else:
+        assert rep.warning == doc["warning"] == "hypotheses-not-met"
 
 
 def test_witness_growth_rate_matches_exponent():

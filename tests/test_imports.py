@@ -1,7 +1,11 @@
-"""Every name a grandam module imports is used by that module.
+"""Two lint rules for the grandam sources.
 
-No linter ships with the project, so this stands in for an unused-import
-check. Names that ``__init__.py`` imports to re-export are exempt.
+Every name a grandam module imports is used by that module, and every
+private module-level name (``_helper`` functions, ``_CONSTANT`` values)
+that a module defines is referenced somewhere in the package. No linter
+ships with the project, so these stand in for unused-import and
+dead-code checks. Names that ``__init__.py`` imports to re-export are
+exempt from the first rule.
 """
 
 import ast
@@ -42,3 +46,36 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unused = sorted(set(_imported_names(tree)) - _used_names(tree))
     assert not unused, f"{path.name} imports but never uses {unused}"
+
+
+def _private_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def _references(tree):
+    """Names read anywhere in ``tree``, as plain names or as attributes."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+    return refs
+
+
+def test_every_private_name_is_referenced():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    referenced = set().union(*map(_references, trees.values()))
+    dead = sorted(f"{name}.{defined}" for name, tree in trees.items()
+                  for defined in _private_definitions(tree) if defined not in referenced)
+    assert not dead, f"private names defined but never referenced: {dead}"
