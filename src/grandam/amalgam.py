@@ -59,9 +59,38 @@ class Window:
         return self
 
 
+def _translate_table(window, shifts):
+    """Row i holds the atoms of window + shifts[i]; -1 marks clipped atoms."""
+    return window.space.translate_indices(np.reshape(window.members, (1, -1)),
+                                          np.reshape(shifts, (-1, 1)))
+
+
+def _translates(window, shifts):
+    """Boolean incidence: entry [i, x] says whether atom x lies in window + shifts[i]."""
+    table = _translate_table(window, shifts)
+    inc = np.zeros((len(table), window.space.size + 1), dtype=bool)
+    inc[np.arange(len(table))[:, None], table] = True   # clipped atoms land in the spare column
+    return inc[:, :window.space.size]
+
+
 def translate_window(window, shift):
     """Q + shift, clipped to the domain when the geometry is an interval."""
-    return Window(window.space, window.space.translate_points(window.members, shift))
+    row = _translate_table(window, [shift])[0]
+    return Window(window.space, row[row >= 0].tolist())
+
+
+def _local_norms(abs_rows, weights, exp, grid):
+    """Grand norm of each nonnegative row, straight through the engine."""
+    return np.array([_norm_sup(row, weights, exp, grid)[0].sup_value for row in abs_rows])
+
+
+def _windowed(abs_vals, table):
+    """Each row of ``table`` as |f| on its unclipped atoms and zero elsewhere."""
+    for row in table:
+        kept = row[row >= 0]
+        out = np.zeros(abs_vals.size)
+        out[kept] = abs_vals[kept]
+        yield out
 
 
 def control_function(f, window, exp, grid=None):
@@ -72,13 +101,9 @@ def control_function(f, window, exp, grid=None):
     window.require_nonempty()
     if not window.space.compatible_with(f.space):
         raise ValueError("window and function must live on the same space")
-    grid = _resolve_grid(exp, grid)
     sp = f.space
-    vals = np.empty(sp.size)
-    for x in range(sp.size):
-        wx = translate_window(window, x)
-        vals[x] = grand_norm(f.restricted(wx.members), exp, grid)
-    return SampledFunction(sp, vals)
+    rows = _windowed(f.abs_values(), _translate_table(window, sp.points))
+    return SampledFunction(sp, _local_norms(rows, sp.weights, exp, _resolve_grid(exp, grid)))
 
 
 def amalgam_norm(f, window, local_exp, global_exp, local_grid=None, global_grid=None):
@@ -132,7 +157,7 @@ class Bupu:
     @cached_property
     def supports(self):
         """Read-only incidence: entry [i, x] says whether atom x lies in window + centers[i]."""
-        inc = _translates(self.space, self.window.members, self.centers)
+        inc = _translates(self.window, self.centers)
         inc.setflags(write=False)
         return inc
 
@@ -190,28 +215,27 @@ def make_triangular_bupu(space, spacing):
 
     Adjacent hats interpolate linearly and sum to one; each support has
     width 2*spacing - 1, so neighbouring translates overlap (count 2).
-    Only cyclic spaces whose size is a multiple of ``spacing`` qualify.
+    Only cyclic spaces of two or more whole periods of ``spacing`` qualify.
     """
     n = space.size
     if space.geometry != CYCLIC or len(space.factors) > 1:
         raise ValueError("triangular partitions need a plain cyclic space")
-    if spacing < 2 or n % spacing != 0:
-        raise ValueError(f"spacing (={spacing}) must be >= 2 and divide {n}")
+    if spacing < 2 or n % spacing != 0 or n < 2 * spacing:
+        raise ValueError(f"spacing (={spacing}) must be >= 2, divide {n} "
+                         f"and be at most {n // 2}")
+    profile = (spacing - np.abs(np.arange(1 - spacing, spacing))) / spacing
+    hat = Window(space, range(2 * spacing - 1))     # the profile, placed from offset 1 - spacing
+    centers = range(0, n, spacing)
     functions = []
-    centers = []
-    for c in range(0, n, spacing):
+    for row in _translate_table(hat, [c - (spacing - 1) for c in centers]):
         vals = np.zeros(n)
-        for d in range(-(spacing - 1), spacing):
-            vals[(c + d) % n] = (spacing - abs(d)) / spacing
+        vals[row] = profile
         functions.append(SampledFunction(space, vals))
-        centers.append(c)
-    rel = sorted({d % n for d in range(-(spacing - 1), spacing)})
     bupu = Bupu(
         functions=tuple(functions),
         centers=tuple(centers),
-        window=Window(space, tuple(rel)),
+        window=translate_window(hat, -(spacing - 1)),
         sup_bound=1.0,
-        ragged=False,
     )
     assert bupu.validation.all_passed, "hat functions must satisfy the partition conditions"
     return bupu
@@ -251,19 +275,6 @@ class BupuValidation:
         }
 
 
-def _translate_table(space, members, shifts):
-    """Row i holds the atoms of members + shifts[i]; -1 marks clipped atoms."""
-    return space.translate_indices(np.reshape(members, (1, -1)), np.reshape(shifts, (-1, 1)))
-
-
-def _translates(space, members, shifts):
-    """Boolean incidence: entry [i, x] says whether atom x lies in members + shifts[i]."""
-    table = _translate_table(space, members, shifts)
-    inc = np.zeros((len(table), space.size + 1), dtype=bool)
-    inc[np.arange(len(table))[:, None], table] = True   # clipped atoms land in the spare column
-    return inc[:, :space.size]
-
-
 def validate_bupu(bupu):
     """The partition's four conditions with measured quantities (``bupu.validation``)."""
     return bupu.validation
@@ -275,32 +286,26 @@ def validate_bupu(bupu):
 
 @dataclass(frozen=True)
 class WellSpreadReport:
-    """U-density plus relative separation of a translate family."""
+    """U-density of a translate family and the count of its separated subfamilies."""
 
     is_u_dense: bool
-    is_relatively_separated: bool
     separation_partition_count: int
 
     @property
     def is_well_spread(self):
-        return self.is_u_dense and self.is_relatively_separated
-
-    def to_doc(self):
-        return {
-            "is_u_dense": self.is_u_dense,
-            "is_relatively_separated": self.is_relatively_separated,
-            "separation_partition_count": self.separation_partition_count,
-        }
+        """U-density alone: a finite family is always relatively separated, as
+        it splits into ``separation_partition_count`` disjoint subfamilies."""
+        return self.is_u_dense
 
 
-def well_spread_check(family, window, space):
+def well_spread_check(family, window):
     """Check whether translates of the window along ``family`` cover and split.
 
     The partition count comes from greedy colouring of the translate
     intersection graph: translates of one colour are pairwise disjoint.
     """
     window.require_nonempty()
-    translates = _translates(space, window.members, family)
+    translates = _translates(window, family)
     dense = bool(translates.any(axis=0).all())
     meets = translates @ translates.T
 
@@ -312,7 +317,7 @@ def well_spread_check(family, window, space):
             c += 1
         colors.append(c)
     count = (max(colors) + 1) if colors else 0
-    return WellSpreadReport(dense, True, count)
+    return WellSpreadReport(dense, count)
 
 
 def _disjoint_full_translates(window, family):
@@ -320,7 +325,7 @@ def _disjoint_full_translates(window, family):
 
     Returns the (len(family), window.size) table of translated atoms.
     """
-    table = _translate_table(window.space, window.members, family)
+    table = _translate_table(window, family)
     clipped = np.flatnonzero((table < 0).any(axis=1))
     if clipped.size:
         raise ValueError(f"translate by {family[clipped[0]]} clips the window; "
@@ -379,9 +384,11 @@ def discrete_space_bounds(window, exp):
 
 def _piece_norms(f, bupu, local_exp, local_grid):
     """The sequence i -> ||f psi_i|| on a counting index set."""
-    seq = [grand_norm(f.pointwise_mul(psi), local_exp, local_grid)
-           for psi in bupu.functions]
-    return SampledFunction(MeasureSpace.counting(len(seq)), np.array(seq))
+    if not f.space.compatible_with(bupu.space):
+        raise ValueError("pointwise product needs functions on the same space")
+    rows = (np.abs(f.values * psi.values) for psi in bupu.functions)
+    seq = _local_norms(rows, f.space.weights, local_exp, local_grid)
+    return SampledFunction(MeasureSpace.counting(len(seq)), seq)
 
 
 def discrete_amalgam_norm(f, bupu, local_exp, global_exp,
@@ -498,7 +505,7 @@ def equivalence_report(f, qwindow, bupu, local_exp, global_exp,
 
     # instance geometry: overlap count and difference-window mass ...
     supports = bupu.supports
-    q_translates = _translates(sp, qwindow.members, sp.points)
+    q_translates = _translates(qwindow, sp.points)
     meets = q_translates @ supports.T        # [x, i]: Q + x meets U + y_i
     kappa = int(meets.sum(axis=1).max())
     mu_diff = max(float(np.sum(sp.weights[hits])) for hits in meets.T)

@@ -33,6 +33,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .amalgam import amalgam_norm
 from .core import PROBABILITY, MeasureSpace, SampledFunction, lp_norm
 from .grand import _norm_sup, _resolve_grid, grand_norm
 
@@ -242,8 +243,6 @@ def amalgam_submultiplicativity_check(f, g, group, qwindow, local_exp, global_ex
     covering bound; all three are computed for this group, window and
     grid.
     """
-    from .amalgam import amalgam_norm  # local import to avoid a cycle
-
     qwindow.require_nonempty()
     local_grid = _resolve_grid(local_exp, local_grid)
     global_grid = _resolve_grid(global_exp, global_grid)

@@ -170,11 +170,6 @@ class MeasureSpace:
         digits = np.unravel_index(index % self.size, self.factors)
         return int(np.ravel_multi_index(tuple(-d for d in digits), self.factors, mode="wrap"))
 
-    def translate_points(self, members, shift):
-        """Translate a set of atom indices, dropping clipped ones."""
-        t = self.translate_indices(_as_indices(members), shift)
-        return tuple(np.sort(t[t >= 0]).tolist())
-
 
 def _as_indices(members):
     return np.fromiter(members, dtype=np.intp)

@@ -222,9 +222,6 @@ class EmbeddingConstants:
     c_lower: float
     eps: float
 
-    def to_doc(self):
-        return {"c_upper": self.c_upper, "c_lower": self.c_lower, "eps": self.eps}
-
 
 def embedding_constants(exp, eps, space, grid=None):
     """Explicit constants for the chain L^p -> grand -> L^(p-eps).

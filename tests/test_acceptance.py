@@ -6,8 +6,6 @@ Tolerances are fixed here on purpose; loosening them is a release
 decision, not a test edit.
 """
 
-import math
-
 import numpy as np
 
 from grandam.amalgam import (Window, amalgam_norm, equivalence_report,
@@ -16,8 +14,7 @@ from grandam.convolution import (FiniteAbelianGroup,
                                  amalgam_submultiplicativity_check,
                                  noncompact_witness, submultiplicativity_check)
 from grandam.core import (COUNTING, GrandExponent, MeasureSpace,
-                          SampledFunction, grand_factor, lp_norm,
-                          make_epsilon_grid)
+                          SampledFunction, lp_norm, make_epsilon_grid)
 from grandam.grand import (closure_criterion, embedding_constants,
                            epsilon_profile, grand_norm, grand_sequence_norm)
 

@@ -12,7 +12,7 @@ from grandam.core import (COUNTING, GrandExponent, MeasureSpace,
                           SampledFunction, make_epsilon_grid)
 from grandam.grand import grand_norm, grand_sequence_norm
 
-from oracles import brute_amalgam, brute_discrete_amalgam
+from oracles import brute_amalgam, brute_discrete_amalgam, brute_translate
 
 E20 = GrandExponent(2.0, 0.0)
 E21 = GrandExponent(2.0, 1.0)
@@ -66,6 +66,51 @@ def test_amalgam_norm_frozen_example():
     assert got == pytest.approx(0.25, abs=1e-14)
 
 
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("space, members", [
+    (MeasureSpace.cyclic(12), (0, 1, 2, 3)),
+    (MeasureSpace.interval(10), (0, 6, 7, 8)),     # shifts >= 4 keep only atom 0 + x
+    (MeasureSpace.interval(7), (5, 6)),            # shifts >= 2 clip the whole window
+    (MeasureSpace.counting(9), (0, 4)),
+    (MeasureSpace.product((4, 6)), (0, 1, 7)),
+], ids=["cyclic", "interval", "interval-empty", "counting", "Z4xZ6"])
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+def test_control_function_keeps_the_restricted_bits(space, members, theta):
+    # the reference restricts f to each translate built digit by digit
+    # (cyclic) or by clipping (interval), then takes one grand norm each
+    n = space.size
+    if space.factors is None:
+        translate = [[m + x for m in members if 0 <= m + x < n] for x in range(n)]
+    else:
+        translate = [[brute_translate(m, x, space.factors) for m in members]
+                     for x in range(n)]
+    exp = GrandExponent(2.0, theta)
+    grid = make_epsilon_grid(exp)
+    rng = np.random.default_rng(28)
+    f = SampledFunction(space, rng.standard_normal(n))
+    got = control_function(f, Window(space, members), exp, grid).values
+    want = [grand_norm(f.restricted(translate[x]), exp, grid) for x in range(n)]
+    assert _bits(got) == _bits(want)
+
+
+def test_control_function_reads_one_translate_table(monkeypatch):
+    calls = {"translate_window": 0, "grand_norm": 0}
+    for name in calls:
+        original = getattr(amalgam, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(amalgam, name, counting)
+    sp = MeasureSpace.cyclic(16)
+    control_function(SampledFunction(sp, np.arange(16.0)), Window(sp, (0, 1, 2, 3)), E21, G21)
+    assert calls == {"translate_window": 0, "grand_norm": 0}
+
+
 def test_control_monotone_in_window():
     rng = np.random.default_rng(21)
     sp = MeasureSpace.cyclic(10)
@@ -115,11 +160,15 @@ def test_amalgam_norm_oracle_agreement():
     rng = np.random.default_rng(23)
     sp = MeasureSpace.cyclic(8)
     Q = Window(sp, (0, 1, 2))
+
+    def translate(members, x):
+        return [brute_translate(m, x, (8,)) for m in members]
+
     for _ in range(5):
         f = SampledFunction(sp, rng.random(8))
         got = amalgam_norm(f, Q, E21, E20, G21, G20)
         want = brute_amalgam(list(f.values), list(sp.weights), 8, Q.members,
-                             sp.translate_points, 2.0, 1.0, 2.0, 0.0)
+                             translate, 2.0, 1.0, 2.0, 0.0)
         assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -232,27 +281,44 @@ def test_triangular_bupu_requirements():
         make_triangular_bupu(MeasureSpace.cyclic(10), 4)
     with pytest.raises(ValueError, match="cyclic"):
         make_triangular_bupu(MeasureSpace.interval(8), 4)
+    # spacing divides n, but a single hat's 2*spacing - 1 atoms wrap onto itself
+    for n in (3, 4, 8):
+        with pytest.raises(ValueError, match=r"spacing \(="):
+            make_triangular_bupu(MeasureSpace.cyclic(n), n)
+
+
+@pytest.mark.parametrize("n, spacing", [(4, 2), (12, 3), (16, 4), (30, 5), (64, 8)])
+def test_triangular_bupu_matches_modular_hats(n, spacing):
+    sp = MeasureSpace.cyclic(n)
+    bupu = make_triangular_bupu(sp, spacing)
+    assert bupu.centers == tuple(range(0, n, spacing))
+    assert bupu.window.members == tuple(sorted({d % n for d in range(1 - spacing, spacing)}))
+    for c, psi in zip(bupu.centers, bupu.functions):
+        want = np.zeros(n)
+        for d in range(1 - spacing, spacing):
+            want[(c + d) % n] = (spacing - abs(d)) / spacing
+        assert _bits(psi.values) == _bits(want)
+    assert bupu.validation.all_passed
 
 
 def test_well_spread_uniform_blocks():
     sp = MeasureSpace.cyclic(16)
-    rep = well_spread_check((0, 4, 8, 12), Window(sp, (0, 1, 2, 3)), sp)
+    rep = well_spread_check((0, 4, 8, 12), Window(sp, (0, 1, 2, 3)))
     assert rep.is_u_dense
-    assert rep.is_relatively_separated
     assert rep.separation_partition_count == 1
     assert rep.is_well_spread
 
 
 def test_well_spread_overlapping_family():
     sp = MeasureSpace.cyclic(16)
-    rep = well_spread_check((0, 4, 8, 12), Window(sp, tuple(range(6))), sp)
+    rep = well_spread_check((0, 4, 8, 12), Window(sp, tuple(range(6))))
     assert rep.is_u_dense
     assert rep.separation_partition_count == 2
 
 
 def test_well_spread_sparse_family_not_dense():
     sp = MeasureSpace.cyclic(16)
-    rep = well_spread_check((0,), Window(sp, (0, 1)), sp)
+    rep = well_spread_check((0,), Window(sp, (0, 1)))
     assert not rep.is_u_dense
     assert not rep.is_well_spread
 

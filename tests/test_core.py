@@ -3,11 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from grandam.core import (COUNTING, CYCLIC, INTERVAL, PROBABILITY, EpsilonGrid,
+from grandam.core import (COUNTING, CYCLIC, INTERVAL, EpsilonGrid,
                           GrandExponent, MeasureSpace, SampledFunction,
                           grand_factor, lp_norm, make_epsilon_grid)
 
+from grandam.amalgam import Window, translate_window
+
 from oracles import brute_negate, brute_translate
+
+
+def _moved(sp, members, shift):
+    return translate_window(Window(sp, members), shift).members
 
 
 def test_cyclic_space_is_probability():
@@ -65,8 +71,8 @@ def test_interval_translation_clips():
     sp = MeasureSpace.interval(8)
     assert sp.translate_index(2, 3) == 5
     assert sp.translate_index(6, 3) is None
-    assert sp.translate_points((6, 7), 3) == ()
-    assert sp.translate_points((0, 1, 6), 1) == (1, 2, 7)
+    assert _moved(sp, (6, 7), 3) == ()
+    assert _moved(sp, (0, 1, 6), 1) == (1, 2, 7)
 
 
 def test_product_group_translation():
@@ -89,11 +95,11 @@ def test_translation_matches_digit_loop(factors):
         for s in shifts:
             want = brute_translate(i, s, factors)
             assert sp.translate_index(i, s) == want
-            assert sp.translate_points((i,), s) == (want,)
+            assert _moved(sp, (i,), s) == (want,)
     f = SampledFunction(sp, np.arange(float(n)))
     for s in shifts:
         want = tuple(sorted(brute_translate(i, s, factors) for i in range(0, n, 2)))
-        assert sp.translate_points(range(0, n, 2), s) == want
+        assert _moved(sp, range(0, n, 2), s) == want
         moved = f.translated(s).values               # (T_s f)(x + s) = f(x)
         assert all(moved[brute_translate(x, s, factors)] == x for x in range(n))
 
@@ -104,7 +110,7 @@ def test_interval_translation_matches_clipping_loop():
         for i in range(6):
             want = i + s if 0 <= i + s < 6 else None
             assert sp.translate_index(i, s) == want
-        assert sp.translate_points(range(6), s) == tuple(
+        assert _moved(sp, range(6), s) == tuple(
             i + s for i in range(6) if 0 <= i + s < 6)
 
 

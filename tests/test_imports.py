@@ -1,6 +1,7 @@
 """Two lint rules for the grandam sources.
 
-Every name a grandam module imports is used by that module, and every
+Every name a grandam module or test module imports is used by that
+module, and every
 private module-level name (``_helper`` functions, ``_CONSTANT`` values)
 that a module defines is referenced somewhere in the package. No linter
 ships with the project, so these stand in for unused-import and
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "grandam"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "grandam"
 
 
 def _imported_names(tree):
@@ -39,7 +41,8 @@ def _used_names(tree):
     return used
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
     if path.name == "__init__.py":
         return
