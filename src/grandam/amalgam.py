@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (CYCLIC, MeasureSpace, SampledFunction, lp_norm)
+from .core import CYCLIC, MeasureSpace, SampledFunction, _integers, lp_norm
 from .grand import (_norm_sup, _resolve_grid, grand_norm, grand_sequence_norm)
 
 _PARTITION_TOL = 1e-12   # absolute, on the sum-to-one and sup-bound conditions
@@ -36,7 +36,7 @@ class Window:
     members: tuple
 
     def __post_init__(self):
-        mem = tuple(sorted(int(m) for m in self.members))
+        mem = tuple(sorted(_integers(self.members, "window members").tolist()))
         if len(set(mem)) != len(mem):
             raise ValueError("window members must be distinct")
         if mem and (mem[0] < 0 or mem[-1] >= self.space.size):
@@ -140,12 +140,12 @@ class Bupu:
             raise ValueError("partition of unity cannot be empty")
         sp = self.functions[0].space
         for psi in self.functions:
-            if psi.space is not sp:
+            if not psi.space.compatible_with(sp):
                 raise ValueError("all partition members must share one space")
         if not self.window.space.compatible_with(sp):
             raise ValueError("window and partition must live on the same space")
         self.window.require_nonempty()
-        object.__setattr__(self, "centers", tuple(int(c) for c in self.centers))
+        object.__setattr__(self, "centers", tuple(_integers(self.centers, "centers").tolist()))
 
     @property
     def space(self):

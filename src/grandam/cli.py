@@ -18,8 +18,8 @@ import numpy as np
 from .amalgam import Window, amalgam_norm, equivalence_report, make_uniform_bupu
 from .convolution import (FiniteAbelianGroup, noncompact_witness,
                           submultiplicativity_check)
-from .core import (COUNTING, CYCLIC, INTERVAL, PROBABILITY, GrandExponent,
-                   MeasureSpace, SampledFunction, make_epsilon_grid)
+from .core import (COUNTING, PROBABILITY, GrandExponent, MeasureSpace, SampledFunction,
+                   make_epsilon_grid)
 from .grand import closure_criterion, epsilon_profile, grand_norm
 from .iofmt import load_function, profile_csv_text, render_report, typed_value
 
@@ -143,14 +143,11 @@ class RunConfig:
             raise ValueError(f"window size (={size}) must lie in 1..{space.size}")
         return Window(space, tuple(range(size)))
 
-    def geometry(self):
-        return CYCLIC if self.space_kind == "cyclic" else INTERVAL
-
 
 def _load_for_config(path, fmt, config, expect_space=None):
-    f = load_function(path, fmt=fmt, geometry=config.geometry())
+    f = load_function(path, fmt=fmt)
     if expect_space is not None:
-        if not expect_space.compatible_with(f.space):
+        if not np.array_equal(expect_space.weights, f.space.weights):
             raise ValueError(
                 f"{path}: weights do not match the configured space "
                 f"({expect_space.size} atoms, {config.normalization})")
@@ -311,10 +308,10 @@ def build_parser():
         sp.set_defaults(handler=handler)
         if needs_f:
             sp.add_argument("--f", help="sampled function file")
+            sp.add_argument("--format", choices=("csv", "jsonl"),
+                            help="function file format (default: by extension)")
         if needs_g:
             sp.add_argument("--g", help="second sampled function file")
-        sp.add_argument("--format", choices=("csv", "jsonl"),
-                        help="function file format (default: by extension)")
         return sp
 
     # The handlers are module globals read when the parser is built, so a

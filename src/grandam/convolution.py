@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .amalgam import amalgam_norm
-from .core import PROBABILITY, MeasureSpace, SampledFunction, lp_norm
+from .core import PROBABILITY, MeasureSpace, SampledFunction, _integers, lp_norm
 from .grand import _norm_sup, _resolve_grid, grand_norm
 
 _TOL = 1e-12    # relative, on each inequality of submultiplicativity_check
@@ -315,7 +315,7 @@ def noncompact_witness(m, p):
     the ratios to stay bounded, so their growth rules out an algebra
     norm on the counting model.
     """
-    m = int(m)
+    m = int(_integers(m, "m"))
     if m < 2:
         raise ValueError(f"m (={m}) must be >= 2")
     p = float(p)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _TINY = float(np.finfo(float).tiny)   # smallest normal float
+_LOG_MAX = math.log(np.finfo(float).max)
 
 CYCLIC = "cyclic"
 INTERVAL = "interval"
@@ -25,8 +26,22 @@ _GEOMETRIES = (CYCLIC, INTERVAL)
 _NORMALIZATIONS = (PROBABILITY, COUNTING)
 
 
+def _integers(values, what):
+    """``values`` as np.intp; the first entry that is not integral (2.0 is, 1.7 is not) raises."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iu":
+        return arr.astype(np.intp, copy=False)
+    bad = values
+    if arr.dtype.kind == "f":
+        rest = arr[~((np.abs(arr) < 2.0 ** 62) & (np.trunc(arr) == arr))]
+        if rest.size == 0:
+            return arr.astype(np.intp)
+        bad = float(rest[0])
+    raise ValueError(f"{what} (={bad!r}) must be integral")
+
+
 def _group_factors(factors):
-    fac = tuple(int(k) for k in factors)
+    fac = tuple(_integers(factors, "group factors").tolist())
     if not fac or any(k <= 0 for k in fac):
         raise ValueError("group factors must be positive integers")
     return fac
@@ -147,8 +162,8 @@ class MeasureSpace:
         order) and is added digit by digit; an interval shift moves along
         the line and drops whatever leaves it.
         """
-        idx = np.asarray(indices, dtype=np.intp)
-        shift = np.asarray(shift, dtype=np.intp)
+        idx = _integers(indices, "indices")
+        shift = _integers(shift, "shift")
         if self.geometry == INTERVAL:
             t = idx + shift
             return np.where((t >= 0) & (t < self.size), t, -1)
@@ -169,10 +184,6 @@ class MeasureSpace:
             raise ValueError("group inverses need a cyclic space")
         digits = np.unravel_index(index % self.size, self.factors)
         return int(np.ravel_multi_index(tuple(-d for d in digits), self.factors, mode="wrap"))
-
-
-def _as_indices(members):
-    return np.fromiter(members, dtype=np.intp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,7 +218,7 @@ class SampledFunction:
     @classmethod
     def indicator(cls, space, members):
         vals = np.zeros(space.size)
-        vals[_as_indices(members)] = 1.0
+        vals[_integers(members, "members")] = 1.0
         return cls(space, vals)
 
     def abs_values(self):
@@ -216,7 +227,7 @@ class SampledFunction:
     def restricted(self, members):
         """Pointwise product with the indicator of ``members``."""
         mask = np.zeros(self.space.size, dtype=bool)
-        mask[_as_indices(members)] = True
+        mask[_integers(members, "members")] = True
         return SampledFunction(self.space, np.where(mask, self.values, 0.0))
 
     def translated(self, shift):
@@ -252,7 +263,8 @@ class GrandExponent:
     """Exponent pair (p, theta) with p > 1 and theta >= 0.
 
     The associated epsilon range is the half-open interval (0, p - 1];
-    theta = 0 switches the epsilon weight off entirely.
+    theta = 0 switches the epsilon weight off entirely. theta * |ln(p - 1)|
+    stays below ln(max float), so (p - 1)^theta and (p - 1)^-theta are finite.
     """
 
     p: float
@@ -265,6 +277,9 @@ class GrandExponent:
             raise ValueError(f"p (={p}) must be finite and > 1")
         if not math.isfinite(theta) or theta < 0.0:
             raise ValueError(f"theta (={theta}) must be finite and >= 0")
+        if theta * abs(math.log(p - 1.0)) >= _LOG_MAX:
+            raise ValueError(f"theta (={theta}) is too large for p (={p}): "
+                             f"(p - 1)^theta leaves float range")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "theta", theta)
 
@@ -351,10 +366,6 @@ class EpsilonGrid:
     @property
     def eps_max(self):
         return float(self.eps_values[-1])
-
-    def matches(self, exp):
-        """Whether this grid covers the epsilon range of ``exp`` exactly."""
-        return self.eps_max == exp.eps_max
 
 
 def make_epsilon_grid(exp, points=64, min_eps=None, tol=1e-9):

@@ -10,17 +10,19 @@ more candidate. On a probability space with theta = 0 that boundary value
 is the plain Lp norm, which makes the theta = 0 reduction exact rather
 than grid-limited.
 
-The same engine serves sequence norms (counting measure), the discrete
-translate-step norms used by amalgam discretization, and the explicit
-embedding constants, so all of them share one evaluation path.
+Every supremum the package takes is the supremum of a norm: grand norms,
+sequence norms (counting measure), the discrete translate-step norms used
+by amalgam discretization and, through the constant function, the upper
+embedding constant all run through ``_norm_sup``, the one evaluation path.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import _weighted_r_norm, grand_factor, lp_norm, make_epsilon_grid
+from .core import (_TINY, MeasureSpace, SampledFunction, _weighted_r_norm, grand_factor,
+                   lp_norm, make_epsilon_grid)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEPS = 200   # step cap of each golden-section polish
@@ -136,7 +138,7 @@ def _norm_sup(abs_vals, weights, exp, grid, scale_base=1.0):
 def _resolve_grid(exp, grid):
     if grid is None:
         return make_epsilon_grid(exp)
-    if not grid.matches(exp):
+    if grid.eps_max != exp.eps_max:
         raise ValueError(
             f"grid tops out at {grid.eps_max}, expected p - 1 = {exp.eps_max}")
     return grid
@@ -149,8 +151,7 @@ def grand_norm(f, exp, grid=None):
     (the eps -> 0 candidate wins); with theta > 0 the supremum typically
     sits in the interior or at eps = p - 1 and the golden polish locates it.
     """
-    grid = _resolve_grid(exp, grid)
-    return _norm_sup(f.abs_values(), f.space.weights, exp, grid)[0].sup_value
+    return epsilon_profile(f, exp, grid).sup_value
 
 
 def grand_sequence_norm(u, exp, grid=None):
@@ -163,8 +164,8 @@ def grand_sequence_norm(u, exp, grid=None):
 def epsilon_profile(f, exp, grid=None):
     """Profile of the weighted norms behind ``grand_norm``.
 
-    The profile's ``sup_value`` is exactly what ``grand_norm`` returns for
-    the same inputs; both run the identical scan.
+    The profile's ``sup_value`` is what ``grand_norm`` returns for the
+    same inputs.
     """
     return _norm_sup(f.abs_values(), f.space.weights, exp, _resolve_grid(exp, grid))[0]
 
@@ -184,13 +185,7 @@ class ClosureReport:
     tol: float
 
     def to_doc(self):
-        return {
-            "applicable": self.applicable,
-            "in_closure": self.in_closure,
-            "limit_estimate": self.limit_estimate,
-            "eps_at": self.eps_at,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
 
 def closure_criterion(f, exp, grid=None, tol=1e-6):
@@ -226,22 +221,16 @@ class EmbeddingConstants:
 def embedding_constants(exp, eps, space, grid=None):
     """Explicit constants for the chain L^p -> grand -> L^(p-eps).
 
-    The upper constant is the supremum of
-    eps'^(theta/(p-eps')) * mass^(1/(p-eps') - 1/p) over the epsilon range
-    (weighted power mean inequality on a finite measure); the lower one is
-    the reciprocal epsilon weight at the requested eps.
+    On a finite measure space the embedding L^p -> grand is sharp on
+    constants (weighted power mean inequality), so the upper constant is
+    the norm ratio ||1||_grand / ||1||_p. The Lr norms of 1 depend on the
+    total mass alone, so one atom of that mass stands in for the space.
+    The lower constant is the reciprocal epsilon weight at the requested eps.
     """
-    grid = _resolve_grid(exp, grid)
-    c_lower = 1.0 / grand_factor(eps, exp)  # validates the eps range too
-    mass = space.total_mass
-    p = exp.p
-    theta = exp.theta
-
-    def h(e):
-        r = p - e
-        return (e ** (theta / r)) * mass ** (1.0 / r - 1.0 / p)
-
-    zero_limit = 1.0 if theta == 0.0 else 0.0
-    vals = [h(e) for e in grid.eps_values.tolist()]
-    c_upper = _sup_over_grid(h, grid, zero_limit, vals).sup_value
-    return EmbeddingConstants(c_upper, c_lower, float(eps))
+    weight = grand_factor(eps, exp)  # validates the eps range too
+    if weight < _TINY:
+        raise ValueError(f"eps (={eps}) puts the epsilon weight {weight} "
+                         f"below the normal float range")
+    one = SampledFunction.constant(MeasureSpace([space.total_mass]), 1.0)
+    c_upper = grand_norm(one, exp, grid) / lp_norm(one, exp.p)
+    return EmbeddingConstants(c_upper, 1.0 / weight, float(eps))

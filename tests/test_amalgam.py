@@ -214,6 +214,17 @@ def test_broken_partition_is_reported_not_raised():
     assert not rep.all_passed
 
 
+def test_partition_pieces_on_equal_spaces_are_accepted():
+    a, b = MeasureSpace.cyclic(4), MeasureSpace.cyclic(4)
+    pieces = (SampledFunction.indicator(a, [0, 1]), SampledFunction.indicator(b, [2, 3]))
+    bupu = Bupu(functions=pieces, centers=(0, 2), window=Window(a, (0, 1)), sup_bound=1.0)
+    assert bupu.validation.all_passed
+    other = SampledFunction.indicator(MeasureSpace.cyclic(4, COUNTING), [2, 3])
+    with pytest.raises(ValueError, match="share one space"):
+        Bupu(functions=(pieces[0], other), centers=(0, 2), window=Window(a, (0, 1)),
+             sup_bound=1.0)
+
+
 def test_partition_is_validated_once():
     bupu = make_uniform_bupu(MeasureSpace.cyclic(12), 3)
     assert validate_bupu(bupu) is validate_bupu(bupu)

@@ -324,6 +324,30 @@ def test_conv_check_overflow_is_one_error_document(workdir, tmp_path):
     assert "convolution overflowed" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("command, p, theta", [
+    ("norm", 3.0, 1100), ("profile", 3.0, 1100), ("amalgam", 3.0, 1100),
+    ("equivalence", 3.0, 1100), ("conv-check", 1.5, 2000),
+])
+def test_exponent_weight_out_of_float_range_is_an_input_error(workdir, tmp_path, command,
+                                                              p, theta):
+    # (p - 1)^theta leaves float range; the run must end in one error document
+    f = str(workdir[0] / "f.csv")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"exponents": {"p": p, "theta": theta}}))
+    files = ["--f", f, "--g", f] if command == "conv-check" else ["--f", f]
+    code, out, err = run_cli("--config", str(cfg), command, *files)
+    assert code == 2
+    assert out == ""
+    assert "theta" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("command", ["witness", "bupu-validate"])
+def test_format_is_offered_only_beside_a_function_file(command):
+    code, out, _ = run_cli(command, "--format", "csv")
+    assert code == 2
+    assert out == ""
+
+
 @pytest.mark.parametrize("command", ["conv-check", "equivalence"])
 def test_zero_trials_is_an_input_error(tmp_path, command):
     code, out, err = run_in_process(tmp_path, {"trials": 0}, command)

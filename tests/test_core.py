@@ -7,7 +7,8 @@ from grandam.core import (COUNTING, CYCLIC, INTERVAL, EpsilonGrid,
                           GrandExponent, MeasureSpace, SampledFunction,
                           grand_factor, lp_norm, make_epsilon_grid)
 
-from grandam.amalgam import Window, translate_window
+from grandam.amalgam import Bupu, Window, make_uniform_bupu, translate_window
+from grandam.convolution import noncompact_witness
 
 from oracles import brute_negate, brute_translate
 
@@ -248,8 +249,34 @@ def test_grid_endpoints_pinned():
     grid = make_epsilon_grid(e)
     assert grid.eps_max == e.eps_max
     assert grid.eps_min == pytest.approx(1e-6 * 0.5)
-    assert grid.matches(e)
-    assert not grid.matches(GrandExponent(3.0, 1.0))
+
+
+def _bupu_with_centers(centers):
+    b = make_uniform_bupu(MeasureSpace.cyclic(8), 4)
+    return Bupu(functions=b.functions, centers=centers, window=b.window, sup_bound=1.0)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: translate_window(Window(MeasureSpace.cyclic(8), (0, 1)), 1.7), "shift"),
+    (lambda: Window(MeasureSpace.cyclic(8), (0.7, 2)), "window members"),
+    (lambda: SampledFunction.indicator(MeasureSpace.cyclic(4), [1.9]), "members"),
+    (lambda: MeasureSpace.product((2.5, 4)), "group factors"),
+    (lambda: _bupu_with_centers((0.9, 4.2)), "centers"),
+    (lambda: noncompact_witness(2.9, 2.0), "m"),
+], ids=["translate", "window", "indicator", "product", "bupu", "witness"])
+def test_non_integer_index_is_refused_not_truncated(build, name):
+    with pytest.raises(ValueError, match=rf"^{name} \(=.*\) must be integral"):
+        build()
+
+
+def test_integral_values_of_any_type_are_indices():
+    sp = MeasureSpace.cyclic(8)
+    assert translate_window(Window(sp, (0, 1)), np.int64(2)).members == (2, 3)
+    assert translate_window(Window(sp, (0, 1)), 2.0).members == (2, 3)
+    assert Window(sp, (2.0, np.uint8(1))).members == (1, 2)
+    assert MeasureSpace.product((2.0, np.int32(4))).factors == (2, 4)
+    assert _bupu_with_centers((0.0, np.int64(4))).centers == (0, 4)
+    assert noncompact_witness(np.int16(3), 2.0).m == 3
 
 
 def test_grid_validation():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grandam.core import (GrandExponent, MeasureSpace, SampledFunction,
+from grandam.core import (INTERVAL, GrandExponent, MeasureSpace, SampledFunction,
                           grand_factor, lp_norm, make_epsilon_grid)
 from grandam.grand import (closure_criterion, embedding_constants,
                            epsilon_profile, grand_norm, grand_sequence_norm)
@@ -215,6 +215,38 @@ def test_embedding_constants_sandwich():
             assert gn <= con.c_upper * lp_norm(f, p) * (1 + 1e-10)
             assert lp_norm(f, p - eps) <= con.c_lower * gn * (1 + 1e-10)
             assert con.eps == eps
+
+
+@pytest.mark.parametrize("space", [
+    MeasureSpace.cyclic(7),
+    MeasureSpace.counting(12),
+    MeasureSpace(np.array([0.5, 2.0, 1.25, 0.1]), INTERVAL),
+], ids=["probability", "counting", "interval"])
+def test_embedding_upper_constant_is_attained_by_constants(space):
+    one = SampledFunction.constant(space, 1.0)
+    for p, theta in ((1.5, 1.0), (2.0, 0.0), (2.0, 1.0), (3.0, 2.0), (1.2, 3.0)):
+        e = GrandExponent(p, theta)
+        con = embedding_constants(e, e.eps_max, space)
+        assert grand_norm(one, e) == pytest.approx(con.c_upper * lp_norm(one, p), rel=1e-15)
+
+
+def test_embedding_constants_reject_an_underflowing_weight():
+    # 1e-6^(700/(2 - 1e-6)) is below the float range, so c_lower would be 1/0
+    with pytest.raises(ValueError, match=r"eps \(=1e-06\)"):
+        embedding_constants(GrandExponent(2.0, 700.0), 1e-6, MeasureSpace.cyclic(4))
+
+
+@pytest.mark.parametrize("p, theta", [(3.0, 1100.0), (1.5, 2000.0), (1e300, 3.0)])
+def test_exponent_weight_must_stay_in_float_range(p, theta):
+    with pytest.raises(ValueError) as err:
+        GrandExponent(p, theta)
+    assert f"theta (={theta})" in str(err.value) and f"p (={p})" in str(err.value)
+
+
+def test_p_two_takes_any_theta():
+    # the weight eps^(theta/(2-eps)) tops out at 1 on (0, 1], reached at eps = 1
+    f = SampledFunction(MeasureSpace.cyclic(8), np.arange(8.0))
+    assert grand_norm(f, GrandExponent(2.0, 1e300)) == lp_norm(f, 1.0)
 
 
 def test_embedding_constants_probability_theta0():

@@ -1,9 +1,9 @@
 """Two lint rules for the grandam sources.
 
-Every name a grandam module or test module imports is used by that
-module, and every
-private module-level name (``_helper`` functions, ``_CONSTANT`` values)
-that a module defines is referenced somewhere in the package. No linter
+Every name a grandam module, test module or benchmark script imports is
+used by that module, and every private module-level name (``_helper``
+functions, ``_CONSTANT`` values) that a grandam module defines is
+referenced somewhere in the package. No linter
 ships with the project, so these stand in for unused-import and
 dead-code checks. Names that ``__init__.py`` imports to re-export are
 exempt from the first rule.
@@ -16,6 +16,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "grandam"
+BENCH = TESTS.parent / "bench"
 
 
 def _imported_names(tree):
@@ -41,8 +42,8 @@ def _used_names(tree):
     return used
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+                         + sorted(BENCH.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     if path.name == "__init__.py":
         return
