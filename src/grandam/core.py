@@ -6,6 +6,14 @@ floating point accuracy. Translation follows the space geometry: cyclic
 spaces wrap around (finite abelian groups, componentwise for products),
 interval spaces shift and drop whatever leaves the domain, which amounts
 to extending functions by zero.
+
+The weighted r-norm kernel (``_weighted_r_norm``) raises |f| to the power
+r and takes one BLAS dot product with the weights. Over more than 10 000
+atoms that dot product is split between the BLAS threads, so its bits
+depend on the BLAS thread count (OPENBLAS_NUM_THREADS); for a given BLAS
+setting every norm is deterministic. ``grand`` spreads the r-norms of an
+input of at least 2^14 atoms over two threads (two lanes); each is the
+same call on either thread, so the lanes keep these bits.
 """
 
 import math
@@ -288,19 +296,39 @@ class GrandExponent:
         return self.p - 1.0
 
 
-def _weighted_r_norm(abs_vals, weights, r):
+def _extent(abs_vals, weights):
+    """(max a, log2 of it, log2 of the total weight) for ``_weighted_r_norm``.
+
+    Callers read it once per input and pass it to every r-norm of that input.
+    """
+    top = float(np.max(abs_vals))
+    log2_top = math.log2(top) if top > 0.0 else -math.inf
+    return top, log2_top, math.log2(float(np.sum(weights)))
+
+
+def _weighted_r_norm(abs_vals, weights, r, extent):
     """(sum_i w_i a_i^r)^(1/r) for a fixed finite exponent r >= 1.
 
+    ``extent`` is ``_extent(abs_vals, weights)``.
     When the plain sum leaves the normal float range (it overflows, or
     underflows while some a_i is nonzero), the sum is taken again over
     a / 2^k with max a in [2^k, 2^(k+1)). Dividing by a power of two is
     exact, and homogeneity gives 2^k times the rescaled norm. Every sum
     that stays in range keeps its bits.
+
+    The plain pass is skipped only when it must fail: when top^r
+    overflows (r * log2(top) >= 1025, a binade past 2^1024), or when the
+    sum, at most (total weight) * top^r, is below 2^-1024 (two binades
+    under the smallest normal). Every other input takes the plain pass
+    first, so no value changes; the skip spares the slow libm path of
+    powers that leave float range.
     """
-    s = float(np.dot(weights, abs_vals ** r))
-    if _TINY <= s < math.inf:
-        return s ** (1.0 / r)
-    top = float(np.max(abs_vals))
+    top, log2_top, log2_mass = extent
+    r_log2_top = r * log2_top
+    if r_log2_top < 1025.0 and log2_mass + r_log2_top >= -1024.0:
+        s = float(np.dot(weights, abs_vals ** r))
+        if _TINY <= s < math.inf:
+            return s ** (1.0 / r)
     if top == 0.0:
         return 0.0
     scale = math.ldexp(1.0, math.frexp(top)[1] - 1)
@@ -314,14 +342,16 @@ def lp_norm(f, r):
     ``r`` may be any finite exponent >= 1 or ``math.inf`` for the sup norm;
     anything below 1 is rejected because it no longer gives a norm.
     """
+    abs_vals = f.abs_values()
     if r == math.inf:
-        return float(np.max(f.abs_values()))
+        return float(np.max(abs_vals))
     r = float(r)
     if not math.isfinite(r) or r < 1.0:
         raise ValueError(f"r (={r}) must be >= 1 (math.inf for the sup norm)")
     # powers that overflow are rescaled inside the kernel
     with np.errstate(over="ignore"):
-        return _weighted_r_norm(f.abs_values(), f.space.weights, r)
+        return _weighted_r_norm(abs_vals, f.space.weights, r,
+                                _extent(abs_vals, f.space.weights))
 
 
 def grand_factor(eps, exp):

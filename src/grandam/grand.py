@@ -14,18 +14,105 @@ Every supremum the package takes is the supremum of a norm: grand norms,
 sequence norms (counting measure), the discrete translate-step norms used
 by amalgam discretization and, through the constant function, the upper
 embedding constant all run through ``_norm_sup``, the one evaluation path.
+
+Inputs of at least 2^14 atoms (``_LANE_MIN_ATOMS``), in a process allowed
+on two or more CPUs, are evaluated on two lanes: the calling thread and
+one worker thread share the grid points, and the polish probes at an end
+of the ladder, each taking the next point neither has taken. The
+crossover, with one BLAS thread on two CPUs, lies between 2^11 and 2^12
+atoms; 2^14 leaves room for slower thread hand-offs, and every smaller
+input runs as before, on the calling thread alone. A profile has the same
+bits on either path for a given BLAS setting. The bits of any r-norm over
+more than 10 000 atoms already depend on the BLAS thread count (OpenBLAS
+splits a longer dot product between its threads). With OpenBLAS's default
+threading its spinning workers occupy the second CPU, and the lanes give
+the same bits but no gain (0-20 % slower at 2^16 atoms, measured); set
+OPENBLAS_NUM_THREADS=1 to let them pay.
 """
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import (_TINY, MeasureSpace, SampledFunction, _weighted_r_norm, grand_factor,
-                   lp_norm, make_epsilon_grid)
+from .core import (_TINY, MeasureSpace, SampledFunction, _extent, _weighted_r_norm,
+                   grand_factor, lp_norm, make_epsilon_grid)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEPS = 200   # step cap of each golden-section polish
+_LANE_MIN_ATOMS = 2 ** 14   # inputs this large are evaluated on two lanes
+_lane = None   # job queue of the one worker thread, started on first use
+_lane_lock = threading.Lock()
+
+
+def _reset_lane():
+    global _lane, _lane_lock
+    _lane, _lane_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has no worker thread, whatever the parent had
+    os.register_at_fork(after_in_child=_reset_lane)
+
+
+def _serve(jobs):
+    while True:
+        context, job, reply = jobs.get()
+        try:
+            context.run(job)
+        except BaseException as err:   # raised again by the caller
+            reply.put(err)
+        else:
+            reply.put(None)
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _on_two_lanes(fn, args):
+    """``[fn(a) for a in args]``, computed by the calling thread and the worker together.
+
+    Each lane takes the next item no lane has taken, so a worker slowed by
+    a busy CPU leaves more of the list to the caller instead of holding it
+    up; the caller waits only for an item the worker has taken. ``fn``
+    never returns None. The worker runs in a copy of the caller's context,
+    so numpy error states set by the caller hold there too.
+    """
+    global _lane
+    from queue import SimpleQueue   # loaded by the first large input only
+    with _lane_lock:
+        if _lane is None:
+            _lane = SimpleQueue()
+            threading.Thread(target=_serve, args=(_lane,), name="grandam-lane",
+                             daemon=True).start()
+        jobs = _lane
+    out = [None] * len(args)
+    order = iter(range(len(args)))
+    taking = threading.Lock()
+
+    def drain():
+        while True:
+            with taking:
+                i = next(order, None)
+            if i is None:
+                return
+            out[i] = fn(args[i])
+
+    reply = SimpleQueue()
+    jobs.put((contextvars.copy_context(), drain, reply))
+    drain()
+    if None in out:   # an item is still on the worker, or failed there
+        err = reply.get()
+        if err is not None:
+            raise err
+    return out
 
 
 @dataclass(frozen=True)
@@ -73,7 +160,7 @@ def _golden_max(g, lo, hi, rel_tol, record):
         it += 1
 
 
-def _sup_over_grid(g, grid, zero_limit, vals):
+def _sup_over_grid(g, grid, zero_limit, vals, batch=None):
     """Supremum of ``g`` over the grid with golden refinement.
 
     ``vals`` holds g at the grid points, in grid order. Refinement
@@ -81,6 +168,13 @@ def _sup_over_grid(g, grid, zero_limit, vals):
     hump cannot be silently dropped. ``zero_limit`` is the eps -> 0
     boundary value; it only takes over when it strictly beats everything
     actually evaluated.
+
+    ``batch``, when given, maps a list of points to their g values all at
+    once. A bracket at an end of the ladder then has its probes evaluated
+    ahead: they are the probes ``_golden_max`` makes on a strictly monotone
+    stand-in (rising towards the end), and the polish itself reads them
+    back, evaluating afresh any probe off that path. Every probe and value
+    is the one the plain polish gives.
     """
     eps = grid.eps_values.tolist()
     n = len(vals)
@@ -90,8 +184,19 @@ def _sup_over_grid(g, grid, zero_limit, vals):
              and (i == n - 1 or vals[i] >= vals[i + 1])]
     local.sort(key=lambda i: vals[i], reverse=True)
     for k in local[:2]:
-        _golden_max(g, eps[max(k - 1, 0)], eps[min(k + 1, n - 1)],
-                    grid.relative_tolerance, probes)
+        lo, hi = eps[max(k - 1, 0)], eps[min(k + 1, n - 1)]
+        h = g
+        if batch is not None and k in (0, n - 1):
+            path = []
+            stand_in = (lambda e: e) if k == n - 1 else (lambda e: -e)
+            _golden_max(stand_in, lo, hi, grid.relative_tolerance, path)
+            points = [e for e, _ in path]
+            ahead = dict(zip(points, batch(points)))
+
+            def h(e, ahead=ahead):
+                v = ahead.get(e)
+                return g(e) if v is None else v
+        _golden_max(h, lo, hi, grid.relative_tolerance, probes)
 
     entries = list(zip(eps, vals)) + probes + [(0.0, zero_limit)]
     best_eps, best_val = max(entries, key=lambda t: t[1])   # first maximum wins
@@ -110,28 +215,43 @@ def _norm_sup(abs_vals, weights, exp, grid, scale_base=1.0):
     Returns the profile and the plain norms ||.||_{p-eps} at the grid
     points, in grid order, so a caller that tabulates them need not
     evaluate them again. Powers that overflow are rescaled inside the
-    r-norm kernel, so overflow warnings are off for the whole scan.
+    r-norm kernel, so overflow warnings are off for the whole scan; a
+    weighted norm that still overflows raises ``ValueError``.
+
+    Large inputs are evaluated on two lanes (see the module docstring);
+    each r-norm is the same call on either lane, with the same bits.
     """
     p = exp.p
     theta = exp.theta
+    extent = _extent(abs_vals, weights)
 
     def weight(eps):
         r = p - eps
         return (eps ** (theta / r)) * scale_base ** (1.0 / r)
 
-    def g(eps):
-        return weight(eps) * _weighted_r_norm(abs_vals, weights, p - eps)
+    def r_norm(r):
+        return _weighted_r_norm(abs_vals, weights, r, extent)
 
+    def g(eps):
+        return weight(eps) * r_norm(p - eps)
+
+    lanes = abs_vals.size >= _LANE_MIN_ATOMS and _usable_cpus() >= 2
     with np.errstate(over="ignore"):
         eps = grid.eps_values.tolist()
-        norms = [_weighted_r_norm(abs_vals, weights, p - e) for e in eps]
+        rs = [p - e for e in eps]
+        norms = _on_two_lanes(r_norm, rs) if lanes else [r_norm(r) for r in rs]
         if theta == 0.0:
-            zero_limit = scale_base ** (1.0 / p) * _weighted_r_norm(abs_vals, weights, p)
+            zero_limit = scale_base ** (1.0 / p) * r_norm(p)
         else:
             # eps^(theta/(p-eps)) -> 0 while the norm stays bounded.
             zero_limit = 0.0
         vals = [weight(e) * norm for e, norm in zip(eps, norms)]
-        profile = _sup_over_grid(g, grid, zero_limit, vals)
+        batch = (lambda points: _on_two_lanes(g, points)) if lanes else None
+        profile = _sup_over_grid(g, grid, zero_limit, vals, batch)
+    if profile.sup_value == math.inf:
+        at = next(e for e, v in profile.entries if v == math.inf)
+        raise ValueError(f"the weighted norm eps^(theta/(p-eps)) * ||f||_(p-eps) "
+                         f"overflowed at eps (={at})")
     return profile, norms
 
 

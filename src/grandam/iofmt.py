@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import CYCLIC, MeasureSpace, SampledFunction
+from .core import MeasureSpace, SampledFunction
 
 CSV = "csv"
 JSONL = "jsonl"
@@ -85,8 +85,10 @@ def _parse_rows_jsonl(lines):
     return rows
 
 
-def load_function(path, fmt=None, geometry=CYCLIC):
+def load_function(path, fmt=None):
     """Read a sampled function (and its measure space) from a table file.
+
+    The space is cyclic (Z_n) with the file's weights.
 
     Indices must enumerate 0..n-1 without gaps or repeats, and weights
     must be positive; every complaint names the offending line.
@@ -117,7 +119,7 @@ def load_function(path, fmt=None, geometry=CYCLIC):
     for _, idx, w, v in rows:
         weights[idx] = w
         values[idx] = v
-    space = MeasureSpace(weights, geometry=geometry)
+    space = MeasureSpace(weights)
     return SampledFunction(space, values)
 
 

@@ -324,6 +324,19 @@ def test_conv_check_overflow_is_one_error_document(workdir, tmp_path):
     assert "convolution overflowed" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("command", ["norm", "profile"])
+def test_overflowing_weighted_norm_is_an_input_error(tmp_path, command):
+    # the weight 2^1000 is in range, the weighted norm of 2e10 is not
+    f = SampledFunction(MeasureSpace.cyclic(2), np.array([1e10, 2e10]))
+    write_function(f, tmp_path / "f.csv")
+    code, out, err = run_in_process(tmp_path, {"exponents": {"p": 3.0, "theta": 1000}},
+                                    command, "--f", str(tmp_path / "f.csv"))
+    assert code == 2
+    assert out == ""
+    assert "weighted norm" in json.loads(err)["error"]
+    assert "overflowed at eps" in json.loads(err)["error"]
+
+
 @pytest.mark.parametrize("command, p, theta", [
     ("norm", 3.0, 1100), ("profile", 3.0, 1100), ("amalgam", 3.0, 1100),
     ("equivalence", 3.0, 1100), ("conv-check", 1.5, 2000),

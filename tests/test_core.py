@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from grandam.core import (COUNTING, CYCLIC, INTERVAL, EpsilonGrid,
-                          GrandExponent, MeasureSpace, SampledFunction,
-                          grand_factor, lp_norm, make_epsilon_grid)
+from grandam.core import (_TINY, COUNTING, CYCLIC, INTERVAL, EpsilonGrid,
+                          GrandExponent, MeasureSpace, SampledFunction, _extent,
+                          _weighted_r_norm, grand_factor, lp_norm, make_epsilon_grid)
 
 from grandam.amalgam import Bupu, Window, make_uniform_bupu, translate_window
 from grandam.convolution import noncompact_witness
@@ -180,6 +180,45 @@ def test_lp_norm_counting_frozen_value():
     assert lp_norm(f, 2.0) == 1.5811388300841898
     assert lp_norm(f, 1.0) == pytest.approx(2.0)
     assert lp_norm(f, math.inf) == 1.5
+
+
+def _plain_then_rescaled(a, w, r):
+    """The r-norm from the plain pass, or from a / 2^k when that pass leaves range."""
+    s = float(np.dot(w, a ** r))
+    if _TINY <= s < math.inf:
+        return s ** (1.0 / r)
+    top = float(np.max(a))
+    if top == 0.0:
+        return 0.0
+    scale = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    return scale * float(np.dot(w, (a / scale) ** r)) ** (1.0 / r)
+
+
+def test_r_norm_skips_only_plain_passes_that_must_fail():
+    # tops on both sides of the overflow and underflow bounds keep the bits
+    # of the plain pass and its fallback
+    rng = np.random.default_rng(21)
+    weights = (np.ones(8), np.full(8, 1.0 / 8), rng.uniform(1e-3, 1e3, 8))
+    for r in (1.0, 1.5, 2.0, 3.0):
+        bounds = np.r_[np.linspace(1020.0, 1026.0, 25), np.linspace(-1030.0, -1016.0, 29)]
+        for log2_top in np.minimum(bounds / r, 1023.99):
+            a = rng.uniform(0.0, 1.0, 8) * 2.0 ** log2_top
+            a[3] = 2.0 ** log2_top
+            for w in weights:
+                with np.errstate(over="ignore"):
+                    got = _weighted_r_norm(a, w, r, _extent(a, w))
+                    assert got.hex() == _plain_then_rescaled(a, w, r).hex(), (r, log2_top)
+    zero = np.zeros(4)
+    assert _weighted_r_norm(zero, np.ones(4), 2.0, _extent(zero, np.ones(4))) == 0.0
+
+
+def test_r_norm_out_of_range_takes_no_plain_pass():
+    # the plain pass would overflow or underflow here; it is not taken at all
+    with np.errstate(over="raise", under="raise"):
+        for v, w in ((1e200, 1.0), (1e-200, 1.0), (1e100, 1e-300)):
+            a, wa = np.array([v]), np.array([w])
+            got = _weighted_r_norm(a, wa, 2.0, _extent(a, wa))
+            assert got == pytest.approx(v * math.sqrt(w), rel=1e-15)
 
 
 def test_lp_norm_rejects_sub_one():

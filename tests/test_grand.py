@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -258,6 +262,16 @@ def test_embedding_constants_probability_theta0():
     assert con.c_lower == 1.0
 
 
+def test_overflowing_weighted_norm_is_refused_with_its_eps():
+    # (p - 1)^theta = 2^1000 is finite, but times a norm near 2e10 it is not
+    f = SampledFunction(MeasureSpace.cyclic(2), np.array([1e10, 2e10]))
+    e = GrandExponent(3.0, 1000.0)
+    with pytest.raises(ValueError, match=r"overflowed at eps \(=[0-9.e+-]+\)"):
+        grand_norm(f, e)
+    with pytest.raises(ValueError, match="overflowed"):
+        epsilon_profile(f, e)
+
+
 @pytest.mark.parametrize("c", [1e160, 1e-170, 1e300, 1e-300])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("theta", [0.0, 1.0])
@@ -271,3 +285,20 @@ def test_homogeneity_near_float_limits(c, p, theta):
         assert grand_norm(f.scaled(c), e, grid) == pytest.approx(
             c * grand_norm(f, e, grid), rel=1e-12)
         assert lp_norm(f.scaled(c), p) == pytest.approx(c * lp_norm(f, p), rel=1e-12)
+
+
+def test_float_range_norms_of_the_large_fault_input_are_pinned():
+    # norm-large's float-range operations: 65 536 atoms, p = 3, theta = 0.
+    # A dot over more than 10 000 atoms has bits that depend on the BLAS
+    # thread count, so the pin is taken with one thread.
+    script = (
+        "import numpy as np, grandam as ga\n"
+        "f = ga.SampledFunction(ga.MeasureSpace.cyclic(65536),\n"
+        "                       np.random.default_rng(0).uniform(-1.0, 1.0, 65536))\n"
+        "e = ga.GrandExponent(3.0, 0.0)\n"
+        "print(repr(ga.grand_norm(f.scaled(1e160), e)), repr(ga.grand_norm(f.scaled(1e-170), e)))\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["6.294755701928522e+159", "6.294755701928521e-171"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grandam.core import (GrandExponent, INTERVAL, MeasureSpace,
+from grandam.core import (CYCLIC, GrandExponent, INTERVAL, MeasureSpace,
                           SampledFunction, make_epsilon_grid)
 from grandam.grand import epsilon_profile
 from grandam.iofmt import (canonical_json, load_function, profile_csv_text,
@@ -38,12 +38,17 @@ def test_jsonl_round_trip_bit_exact(tmp_path):
     assert np.array_equal(f.values, g.values)
 
 
-def test_load_geometry_parameter(tmp_path):
-    sp = MeasureSpace.cyclic(4)
+def test_loaded_space_is_cyclic_with_the_file_weights(tmp_path):
+    # an interval space's function comes back on Z_n with the same weights;
+    # loading takes no geometry
+    sp = MeasureSpace(np.array([0.5, 1.0, 2.0, 0.25]), geometry=INTERVAL)
     path = tmp_path / "f.csv"
     write_function(SampledFunction.constant(sp, 1.0), path)
-    g = load_function(path, geometry=INTERVAL)
-    assert g.space.geometry == INTERVAL
+    g = load_function(path)
+    assert g.space.geometry == CYCLIC
+    assert np.array_equal(g.space.weights, sp.weights)
+    with pytest.raises(TypeError):
+        load_function(path, geometry=INTERVAL)
 
 
 def test_write_rejects_complex(tmp_path):
