@@ -4,9 +4,14 @@ Probability normalization (Haar weight 1/order) models a compact group,
 where the grand norm is submultiplicative: each L^(p-eps) level obeys the
 convolution inequality, and for p >= 2 the eps = p - 1 endpoint carries
 enough weight to close the supremum argument with constant one. Counting
-normalization models a slab of the integers, where submultiplicativity
-genuinely fails, with a witness ratio that grows like m^(1 - 1/p) along
-widening indicator boxes.
+normalization models a slab of the integers. There the plain L^p norm is
+not submultiplicative: along widening indicator boxes the witness ratio
+||chi * chi||_p / ||chi||_p^2 grows like m^(1 - 1/p). That is a fact about
+L^p at the exponent p, not about the grand norm. When every atom weighs
+1, ||f||_r does not increase with r and the epsilon weight increases with
+eps, so every grand norm is (p - 1)^theta ||f||_1; l^1 is
+submultiplicative, so on counting groups the grand-norm convolution
+inequality holds with constant (p - 1)^(-theta).
 
 Convolutions are evaluated by direct summation: row x of the matrix
 g(x - y) is a window of a strided view over g laid out along the group's
@@ -187,7 +192,8 @@ def submultiplicativity_check(f, g, group, exp, grid=None):
     grid = _resolve_grid(exp, grid)
     conv = convolve(f, g, group)
     (conv_sup, conv_norms), (f_sup, f_norms), (g_sup, g_norms) = (
-        _norm_sup(h.abs_values(), h.space.weights, exp, grid) for h in (conv, f, g))
+        _norm_sup(h.abs_values(), h.space.weights, exp, grid, table=True)
+        for h in (conv, f, g))
     lhs = conv_sup.sup_value
     rhs = f_sup.sup_value * g_sup.sup_value
 
@@ -309,11 +315,14 @@ def _box_ratio(m, p):
 
 
 def noncompact_witness(m, p):
-    """Widening-box witness: the ratio r(m) grows like m^(1 - 1/p).
+    """Widening-box witness in L^p: the ratio r(m) grows like m^(1 - 1/p).
 
-    r(2) = sqrt(6)/2 at p = 2; any uniform convolution bound would force
-    the ratios to stay bounded, so their growth rules out an algebra
-    norm on the counting model.
+    r(m) = ||chi * chi||_p / ||chi||_p^2 for the box chi of m atoms on a
+    counting slab; r(2) = sqrt(6)/2 at p = 2. A uniform convolution bound
+    for the plain L^p norm would keep the ratios bounded, so their growth
+    rules it out on the counting model. It says nothing about the grand
+    norm there: the ratio ignores theta, and on counting groups the
+    grand-norm inequality holds with constant (p - 1)^(-theta).
     """
     m = int(_integers(m, "m"))
     if m < 2:

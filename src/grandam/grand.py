@@ -4,30 +4,42 @@ The central object is
 
     sup over eps in (0, p-1] of  eps^(theta/(p-eps)) * ||f||_{p-eps}
 
-computed by scanning an epsilon grid, polishing the best grid points with
-a golden-section search, and admitting the eps -> 0 boundary value as one
-more candidate. On a probability space with theta = 0 that boundary value
-is the plain Lp norm, which makes the theta = 0 reduction exact rather
-than grid-limited.
+computed over an epsilon grid, a golden-section polish around the best
+grid points, and the eps -> 0 boundary value as one more candidate. On a
+probability space with theta = 0 that boundary value is the plain Lp
+norm, which makes the theta = 0 reduction exact rather than grid-limited.
 
 Every supremum the package takes is the supremum of a norm: grand norms,
 sequence norms (counting measure), the discrete translate-step norms used
 by amalgam discretization and, through the constant function, the upper
 embedding constant all run through ``_norm_sup``, the one evaluation path.
 
+A caller that reads only the supremum (``grand_norm``,
+``grand_sequence_norm``, the amalgam local norms, ``discrete_space_norm``
+and ``embedding_constants``) gets it pruned: a certified upper bound on
+the weighted norm between evaluated points leaves out the grid points,
+and the polish at an end of the ladder, that cannot win, so the value is
+the float the full table gives. A caller that reads entries or per-eps
+norms (``epsilon_profile``, so the ``profile`` CLI, and
+``submultiplicativity_check``) gets the full table. On 2^16 uniform atoms
+with the default 64-point grid the full table takes 106-108 r-norm
+evaluations; pruned, counting weights take 12-13, probability weights 10
+at theta = 0 and 54 at theta > 0, where the interior maximum is polished
+as before. ``_norm_sup`` holds the proof.
+
 Inputs of at least 2^14 atoms (``_LANE_MIN_ATOMS``), in a process allowed
 on two or more CPUs, are evaluated on two lanes: the calling thread and
-one worker thread share the grid points, and the polish probes at an end
-of the ladder, each taking the next point neither has taken. The
-crossover, with one BLAS thread on two CPUs, lies between 2^11 and 2^12
-atoms; 2^14 leaves room for slower thread hand-offs, and every smaller
-input runs as before, on the calling thread alone. A profile has the same
-bits on either path for a given BLAS setting. The bits of any r-norm over
-more than 10 000 atoms already depend on the BLAS thread count (OpenBLAS
-splits a longer dot product between its threads). With OpenBLAS's default
-threading its spinning workers occupy the second CPU, and the lanes give
-the same bits but no gain (0-20 % slower at 2^16 atoms, measured); set
-OPENBLAS_NUM_THREADS=1 to let them pay.
+one worker thread share each batch of grid points, and the polish probes
+at an end of the ladder, each taking the next point neither has taken.
+The crossover, with one BLAS thread on two CPUs, lies between 2^11 and
+2^12 atoms; 2^14 leaves room for slower thread hand-offs, and every
+smaller input runs as before, on the calling thread alone. A profile has
+the same bits on either path for a given BLAS setting. The bits of any
+r-norm over more than 10 000 atoms already depend on the BLAS thread
+count (OpenBLAS splits a longer dot product between its threads). With
+OpenBLAS's default threading its spinning workers occupy the second CPU,
+and the lanes give the same bits but no gain (0-20 % slower at 2^16
+atoms, measured); set OPENBLAS_NUM_THREADS=1 to let them pay.
 """
 
 import contextvars
@@ -44,6 +56,10 @@ from .core import (_TINY, MeasureSpace, SampledFunction, _extent, _weighted_r_no
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEPS = 200   # step cap of each golden-section polish
 _LANE_MIN_ATOMS = 2 ** 14   # inputs this large are evaluated on two lanes
+_FIRST_STRIDE = 8   # pruning's first pass: both ends and every 8th grid point
+_U = 2.0 ** -53   # unit roundoff
+_SLACK = 2.0 ** -40   # eta of the pruning bound, and the fixed part of its delta
+_ABS = 2.0 ** -1070   # absolute slack for weights below the normal range
 _lane = None   # job queue of the one worker thread, started on first use
 _lane_lock = threading.Lock()
 
@@ -96,6 +112,9 @@ def _on_two_lanes(fn, args):
     out = [None] * len(args)
     order = iter(range(len(args)))
     taking = threading.Lock()
+    # cleared once every item is in: a job the worker has not yet picked up
+    # (the caller took every item) must not keep the inputs alive
+    work = [fn, args]
 
     def drain():
         while True:
@@ -103,7 +122,7 @@ def _on_two_lanes(fn, args):
                 i = next(order, None)
             if i is None:
                 return
-            out[i] = fn(args[i])
+            out[i] = work[0](work[1][i])
 
     reply = SimpleQueue()
     jobs.put((contextvars.copy_context(), drain, reply))
@@ -112,6 +131,7 @@ def _on_two_lanes(fn, args):
         err = reply.get()
         if err is not None:
             raise err
+    work.clear()
     return out
 
 
@@ -121,7 +141,9 @@ class EpsilonProfile:
 
     Entries cover the grid, every refinement probe and, at eps = 0.0, the
     boundary candidate; ``sup_value`` is the largest value among them and
-    ``argmax_eps`` the first eps reaching it.
+    ``argmax_eps`` the first eps reaching it. A pruned scan inside
+    ``_norm_sup`` keeps only the grid points it evaluated; every profile
+    a public function returns is a full table.
     """
 
     entries: tuple
@@ -160,14 +182,8 @@ def _golden_max(g, lo, hi, rel_tol, record):
         it += 1
 
 
-def _sup_over_grid(g, grid, zero_limit, vals, batch=None):
-    """Supremum of ``g`` over the grid with golden refinement.
-
-    ``vals`` holds g at the grid points, in grid order. Refinement
-    brackets the two best local maxima of the grid scan, so a secondary
-    hump cannot be silently dropped. ``zero_limit`` is the eps -> 0
-    boundary value; it only takes over when it strictly beats everything
-    actually evaluated.
+def _polish(g, grid, k, batch, record):
+    """Golden polish of the bracket around grid index ``k``; probes land in ``record``.
 
     ``batch``, when given, maps a list of points to their g values all at
     once. A bracket at an end of the ladder then has its probes evaluated
@@ -176,83 +192,318 @@ def _sup_over_grid(g, grid, zero_limit, vals, batch=None):
     back, evaluating afresh any probe off that path. Every probe and value
     is the one the plain polish gives.
     """
-    eps = grid.eps_values.tolist()
-    n = len(vals)
-    probes = []
-    local = [i for i in range(n)
-             if (i == 0 or vals[i] >= vals[i - 1])
-             and (i == n - 1 or vals[i] >= vals[i + 1])]
-    local.sort(key=lambda i: vals[i], reverse=True)
-    for k in local[:2]:
-        lo, hi = eps[max(k - 1, 0)], eps[min(k + 1, n - 1)]
-        h = g
-        if batch is not None and k in (0, n - 1):
-            path = []
-            stand_in = (lambda e: e) if k == n - 1 else (lambda e: -e)
-            _golden_max(stand_in, lo, hi, grid.relative_tolerance, path)
-            points = [e for e, _ in path]
-            ahead = dict(zip(points, batch(points)))
+    eps = grid.eps_values
+    n = eps.size
+    lo, hi = float(eps[max(k - 1, 0)]), float(eps[min(k + 1, n - 1)])
+    h = g
+    if batch is not None and k in (0, n - 1):
+        path = []
+        stand_in = (lambda e: e) if k == n - 1 else (lambda e: -e)
+        _golden_max(stand_in, lo, hi, grid.relative_tolerance, path)
+        points = [e for e, _ in path]
+        ahead = dict(zip(points, batch(points)))
 
-            def h(e, ahead=ahead):
-                v = ahead.get(e)
-                return g(e) if v is None else v
-        _golden_max(h, lo, hi, grid.relative_tolerance, probes)
+        def h(e):
+            v = ahead.get(e)
+            return g(e) if v is None else v
+    _golden_max(h, lo, hi, grid.relative_tolerance, record)
 
-    entries = list(zip(eps, vals)) + probes + [(0.0, zero_limit)]
-    best_eps, best_val = max(entries, key=lambda t: t[1])   # first maximum wins
+
+def _profile(points, probes, zero_limit):
+    """The profile of grid points, then probes, then the eps -> 0 value; the first maximum wins."""
+    entries = points + probes + [(0.0, zero_limit)]
+    best_eps, best_val = max(entries, key=lambda t: t[1])
     entries.sort(key=lambda t: t[0])
     return EpsilonProfile(tuple(entries), best_eps, best_val)
 
 
-def _norm_sup(abs_vals, weights, exp, grid, scale_base=1.0):
+def _sup_over_grid(g, grid, zero_limit, vals, batch=None):
+    """Supremum of ``g`` over the whole grid with golden refinement.
+
+    ``vals`` holds g at every grid point, in grid order. Refinement
+    brackets the two best local maxima of the grid scan, so a secondary
+    hump cannot be silently dropped. ``zero_limit`` is the eps -> 0
+    boundary value; it only takes over when it strictly beats everything
+    actually evaluated. ``batch`` is passed on to ``_polish``.
+    """
+    n = len(vals)
+    local = [i for i in range(n)
+             if (i == 0 or vals[i] >= vals[i - 1])
+             and (i == n - 1 or vals[i] >= vals[i + 1])]
+    local.sort(key=lambda i: vals[i], reverse=True)
+    probes = []
+    for k in local[:2]:
+        _polish(g, grid, k, batch, probes)
+    return _profile(list(zip(grid.eps_values.tolist(), vals)), probes, zero_limit)
+
+
+def _rounding_margin(size, weights, p, extent, scale_base):
+    """delta of ``_prune``, or None where its proof does not apply.
+
+    See ``_norm_sup`` for the derivation.
+    """
+    top, log2_top, _ = extent
+    w_lo, w_hi = float(weights.min()), float(weights.max())
+    if not (top * min(w_lo, 1.0) >= _TINY and _TINY <= scale_base < math.inf):
+        return None
+    log2_lo = math.log2(w_lo)
+    log2_sum = min(log2_lo, max(-1022.0, log2_lo + min(log2_top, p * log2_top)))
+    rho = (size * _U / (1.0 - size * _U)
+           + size * (w_hi * (p / 2.0 + 16.0) + 1.0) * 2.0 ** (-1074.0 - log2_sum)
+           + _SLACK)
+    return 3.0 * rho if rho < 0.1 else None
+
+
+class _Ladder:
+    """The grid points of one supremum, evaluated on demand.
+
+    At an evaluated index i, with r_i = p - eps_i: ``norms[i]`` is
+    ||f||_(r_i), ``lift[i]`` is eps_i^(theta/r_i), ``mass[i]`` is
+    scale_base^(1/r_i) and ``vals[i]`` is their product, the weighted
+    norm. Entries not evaluated are None.
+    """
+
+    def __init__(self, grid, exp, scale_base, r_norm, lanes):
+        self.eps = grid.eps_values.tolist()
+        self.p, self.theta, self.scale_base = exp.p, exp.theta, scale_base
+        self.r_norm, self.lanes = r_norm, lanes
+        n = len(self.eps)
+        self.norms, self.lift, self.mass, self.vals = ([None] * n for _ in range(4))
+
+    def evaluate(self, indices):
+        """Evaluate the grid points at ``indices`` not yet evaluated; returns those."""
+        eps, p, theta, base = self.eps, self.p, self.theta, self.scale_base
+        lift, mass, norms, vals = self.lift, self.mass, self.norms, self.vals
+        todo = [i for i in indices if norms[i] is None]
+        rs = [p - eps[i] for i in todo]
+        got = (_on_two_lanes(self.r_norm, rs) if self.lanes and len(rs) > 1
+               else [self.r_norm(r) for r in rs])
+        for i, r, norm in zip(todo, rs, got):
+            a = lift[i] = eps[i] ** (theta / r)
+            b = mass[i] = base ** (1.0 / r)
+            norms[i] = norm
+            vals[i] = a * b * norm
+        return todo
+
+    def gap_bound(self, i, j):
+        """Bound on the weighted norm over [eps_i, eps_j]; both ends evaluated, i < j."""
+        return ((self.lift[j] + _ABS) * max(self.mass[i], self.mass[j])
+                * max(self.norms[i], self.norms[j]) + _ABS)
+
+    def top_end_bound(self, i, tol):
+        """Bound on the weighted norm over [eps_i, b], i below the top index.
+
+        b lies below the top eps by half the least distance at which a
+        polish of the top bracket probes (see ``_norm_sup``), or the bound
+        is inf where that distance is lost in rounding.
+        """
+        eps, p = self.eps, self.p
+        lo, hi = eps[-2], eps[-1]
+        margin = 0.5 * (1.0 - _INV_PHI) * min(hi - lo, _INV_PHI * tol * lo)
+        if not margin >= 2.0 ** -48 * hi:
+            return math.inf
+        b = hi - margin
+        r_b = p - b
+        lift_b = b ** (self.theta / r_b)
+        mass_b = self.scale_base ** (1.0 / r_b)
+        n_i, n_j = self.norms[i], self.norms[-1]
+        norm = n_i if n_i >= n_j else n_j
+        q_i = 1.0 / (p - eps[i])
+        d = 1.0 / (p - hi) - q_i
+        if n_i < n_j and d > 2.0 ** -30:
+            # ||f||_r <= n_i^(1-t) n_j^t, 1/r = (1-t)/r_i + t/r_j; below are an
+            # upper bound on t at r_b and a lower bound on ln(n_j/n_i)
+            t = (1.0 / r_b - q_i) / d + 8.0 * _U / d + 8.0 * _U
+            log_i, log_j = math.log(n_i), math.log(n_j)
+            rise = (log_j - log_i) - 4.0 * _U * (abs(log_i) + abs(log_j) + 1.0)
+            if t < 1.0 and rise > 0.0:
+                norm = n_j * math.exp(-((1.0 - t) - 2.0 * _U) * rise)
+        return (lift_b + _ABS) * max(self.mass[i], mass_b) * norm + _ABS
+
+
+def _prune(ladder, zero_limit, delta, tol):
+    """Branch-and-bound over the grid (see ``_norm_sup``).
+
+    Returns the grid indices whose brackets must still be polished (none,
+    or the grid's best point), or None when pruning is off for the call.
+    """
+    vals = ladder.vals
+    n = len(vals)
+    if not math.isfinite(zero_limit):
+        return None
+    done = list(range(0, n - 1, _FIRST_STRIDE)) + [n - 1]
+    new = ladder.evaluate(done)
+    bounds = {}
+    while True:
+        if not all(map(math.isfinite, [vals[i] for i in new])):
+            return None
+        grid_best = max([vals[i] for i in done])
+        best = max(grid_best, zero_limit)
+        floor = best * (1.0 - delta)
+        mids = []
+        for i, j in zip(done, done[1:]):
+            bound = bounds.get((i, j))
+            if bound is None:
+                bound = bounds[i, j] = ladder.gap_bound(i, j)
+            if j - i > 1 and not bound * (1.0 + _SLACK) < floor:
+                mids.append((i + j) // 2)
+        if not mids:
+            break
+        new = ladder.evaluate(mids)
+        done = sorted(done + new)
+
+    top = next(i for i in done if vals[i] == grid_best)
+    plan = []
+    for pos, k in enumerate(done):
+        v = vals[k]
+        if ((k > 0 and vals[k - 1] is not None and vals[k - 1] > v)
+                or (k < n - 1 and vals[k + 1] is not None and vals[k + 1] > v)):
+            continue   # an evaluated neighbour lies above: not a local maximum
+        if k == top == n - 1 and n > 1:
+            bound = ladder.top_end_bound(done[pos - 1], tol)
+        else:
+            sides = [bounds[done[pos - 1], k]] if pos > 0 else []
+            if pos + 1 < len(done):
+                sides.append(bounds[k, done[pos + 1]])
+            bound = max(sides, default=-math.inf)
+        if bound * (1.0 + _SLACK) < floor:
+            continue
+        if k != top or best != grid_best:
+            return None
+        plan.append(k)
+    return plan
+
+
+def _norm_sup(abs_vals, weights, exp, grid, scale_base=1.0, table=False):
     """Engine shared by every grand-type norm.
 
-    Evaluates  eps^(theta/(p-eps)) * scale_base^(1/(p-eps)) * ||.||_{p-eps}
-    over the grid. ``scale_base`` = 1 gives the plain grand norm; the
-    discrete translate-step norm passes the window mass instead, making
-    the two code paths bit-identical whenever that mass is exactly 1.
+    Takes the supremum of  eps^(theta/(p-eps)) * scale_base^(1/(p-eps)) * ||.||_{p-eps}
+    over the grid, the polish probes and, for theta = 0, the eps -> 0
+    value scale_base^(1/p) * ||.||_p. ``scale_base`` = 1 gives the plain
+    grand norm; the discrete translate-step norm passes the window mass
+    instead, making the two code paths bit-identical whenever that mass is
+    exactly 1.
 
     Returns the profile and the plain norms ||.||_{p-eps} at the grid
-    points, in grid order, so a caller that tabulates them need not
-    evaluate them again. Powers that overflow are rescaled inside the
-    r-norm kernel, so overflow warnings are off for the whole scan; a
-    weighted norm that still overflows raises ``ValueError``.
+    points, in grid order (None at a point not evaluated). Powers that
+    overflow are rescaled inside the r-norm kernel, so overflow warnings
+    are off for the whole scan; a weighted norm that still overflows
+    raises ``ValueError``.
 
-    Large inputs are evaluated on two lanes (see the module docstring);
-    each r-norm is the same call on either lane, with the same bits.
+    With ``table`` every grid point is evaluated: the profile holds the
+    whole table, and the two best local maxima of the grid are polished.
+    Without it, pruning leaves out every point that provably cannot win,
+    and the profile holds only the points evaluated; its ``sup_value`` is
+    the same float. When the proof below does not go through, pruning is
+    off for the call and the full table is taken.
+
+    Pruning. The first pass evaluates both ends of the ladder, every 8th
+    grid point and the eps -> 0 value. Each round then bounds the weighted
+    norm on every gap between neighbouring evaluated points, and evaluates
+    the middle grid point of each gap whose bound can still reach the best
+    value found. A gap is dropped when bound * (1 + eta) < best * (1 - delta).
+    The bound on [eps_i, eps_j] is the product of three bounds:
+
+    - eps^(theta/(p-eps)) rises with eps on (0, p-1], since the derivative
+      of its logarithm is theta/r^2 * (r/eps + ln eps) with r = p - eps, and
+      r/eps + ln eps, which falls in eps, is 1/(p-1) + ln(p-1) >= 1 at
+      eps = p - 1. So it is at most its value at eps_j.
+    - scale_base^(1/(p-eps)) is monotone, so it is at most its larger end.
+    - Lyapunov (Hoelder) interpolation: for 1/r = (1-t)/r_i + t/r_j with
+      t in [0, 1], ||f||_r <= ||f||_(r_i)^(1-t) ||f||_(r_j)^t for any
+      positive weights. The right side is log-linear in t, so it is at
+      most the larger of the two end norms. The kernel's exponent
+      fl(p - eps) is monotone in eps, so every point of the gap is
+      evaluated at an r in [r_j, r_i].
+
+    After the rounds, every point not evaluated lies in a dropped gap and
+    is below the best value, so the grid's best point (the first to reach
+    the grid maximum) is the one the full table polishes first. Its
+    bracket is polished exactly as in the full table, unless it lies at an
+    end of the ladder and a bound proves no probe can win. Every other
+    point that may be a local maximum (no evaluated neighbour above it)
+    must have both gaps beside it dropped, or pruning is off for the call:
+    the full table polishes its second-best local maximum too. Pruning is
+    also off when the eps -> 0 value beats the grid and the grid's best
+    bracket cannot be dropped, when any value evaluated is not finite (so
+    an overflow names the eps the full table names), and when a bound is
+    not finite (it never prunes).
+
+    The polish of a top-end bracket [lo, hi]: each golden step keeps a
+    bracket [l, h] inside [lo, hi] and probes at l + phi*(h - l) and
+    h - phi*(h - l), phi = 0.618..., so at least (1 - phi)(h - l) from
+    both ends. The first two probes use h - l = hi - lo; every later step
+    is taken from a bracket wider than tol * h >= tol * lo and leaves one
+    phi times as wide. So no probe comes closer to hi than
+    (1 - phi) * min(hi - lo, phi * tol * lo) >= 0.236 * min(...), up to
+    a few roundings of size 2^-53 * hi. The certificate covers
+    [eps_i, hi - half that distance] (``_Ladder.top_end_bound``), using
+    the interpolation bound at that end with t rounded up, and is not
+    used when half the distance is below 2^-48 * hi.
+
+    delta, the rounding margin (``_rounding_margin``). With u = 2^-53,
+    powers within 16 ulps (glibc's pow is within 1) and n atoms, a computed
+    weighted norm lies within a relative rho of the exact one at the same
+    eps:
+    - the dot product of n nonnegative terms: gamma_n = n u / (1 - n u);
+    - terms below the normal range add at most n (w_max (p/2 + 16) + 1)
+      2^-1074 absolutely against a sum of at least
+      min(w_min, max(2^-1022, w_min min(top, top^p))), for the plain pass
+      and the rescaled one (whose division by a power of two rounds only
+      below the normal range);
+    - the rest, below 2^-40: the powers of the terms and of the root, the
+      rounding of 1/r and theta/r, which moves x^e by at most
+      2u |ln x^e| <= 1420 u for either weight, 745 u for the root, and
+      three products.
+    The bounds are built from computed values too, so delta = 3 rho, which
+    covers both sides; eta = 2^-40 covers the bound's own arithmetic, and
+    an absolute 2^-1070 covers weights below the normal range. At 2^16
+    atoms delta is about 2.5e-11. Pruning is off where the proof needs
+    more: a top value times min(w_min, 1) below the normal range, a
+    scale_base outside it, or rho >= 0.1.
+
+    Large inputs are evaluated on two lanes (see the module docstring):
+    the first pass, each round's midpoints and the probes of an end polish.
+    Each r-norm is the same call on either lane, with the same bits.
     """
     p = exp.p
     theta = exp.theta
     extent = _extent(abs_vals, weights)
 
-    def weight(eps):
-        r = p - eps
-        return (eps ** (theta / r)) * scale_base ** (1.0 / r)
-
     def r_norm(r):
         return _weighted_r_norm(abs_vals, weights, r, extent)
 
     def g(eps):
-        return weight(eps) * r_norm(p - eps)
+        r = p - eps
+        return (eps ** (theta / r)) * scale_base ** (1.0 / r) * r_norm(r)
 
     lanes = abs_vals.size >= _LANE_MIN_ATOMS and _usable_cpus() >= 2
+    ladder = _Ladder(grid, exp, scale_base, r_norm, lanes)
+    batch = (lambda points: _on_two_lanes(g, points)) if lanes else None
     with np.errstate(over="ignore"):
-        eps = grid.eps_values.tolist()
-        rs = [p - e for e in eps]
-        norms = _on_two_lanes(r_norm, rs) if lanes else [r_norm(r) for r in rs]
         if theta == 0.0:
             zero_limit = scale_base ** (1.0 / p) * r_norm(p)
         else:
             # eps^(theta/(p-eps)) -> 0 while the norm stays bounded.
             zero_limit = 0.0
-        vals = [weight(e) * norm for e, norm in zip(eps, norms)]
-        batch = (lambda points: _on_two_lanes(g, points)) if lanes else None
-        profile = _sup_over_grid(g, grid, zero_limit, vals, batch)
+        delta = None if table else _rounding_margin(abs_vals.size, weights, p, extent,
+                                                    scale_base)
+        plan = None if delta is None else _prune(ladder, zero_limit, delta,
+                                                 grid.relative_tolerance)
+        if plan is None:
+            ladder.evaluate(range(len(ladder.eps)))
+            profile = _sup_over_grid(g, grid, zero_limit, ladder.vals, batch)
+        else:
+            probes = []
+            for k in plan:
+                _polish(g, grid, k, batch, probes)
+            points = [(e, v) for e, v in zip(ladder.eps, ladder.vals) if v is not None]
+            profile = _profile(points, probes, zero_limit)
     if profile.sup_value == math.inf:
         at = next(e for e, v in profile.entries if v == math.inf)
         raise ValueError(f"the weighted norm eps^(theta/(p-eps)) * ||f||_(p-eps) "
                          f"overflowed at eps (={at})")
-    return profile, norms
+    return profile, ladder.norms
 
 
 def _resolve_grid(exp, grid):
@@ -271,7 +522,8 @@ def grand_norm(f, exp, grid=None):
     (the eps -> 0 candidate wins); with theta > 0 the supremum typically
     sits in the interior or at eps = p - 1 and the golden polish locates it.
     """
-    return epsilon_profile(f, exp, grid).sup_value
+    grid = _resolve_grid(exp, grid)
+    return _norm_sup(f.abs_values(), f.space.weights, exp, grid)[0].sup_value
 
 
 def grand_sequence_norm(u, exp, grid=None):
@@ -287,7 +539,8 @@ def epsilon_profile(f, exp, grid=None):
     The profile's ``sup_value`` is what ``grand_norm`` returns for the
     same inputs.
     """
-    return _norm_sup(f.abs_values(), f.space.weights, exp, _resolve_grid(exp, grid))[0]
+    return _norm_sup(f.abs_values(), f.space.weights, exp, _resolve_grid(exp, grid),
+                     table=True)[0]
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,15 @@ lane path by patching the threshold and the CPU count, so they run the
 same on any host.
 """
 
+import contextvars
 import json
+import queue
 import subprocess
 import sys
 import textwrap
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -62,7 +65,7 @@ def lanes(monkeypatch):
 
 
 def _bits(abs_vals, weights, exp, grid):
-    profile, norms = grand._norm_sup(abs_vals, weights, exp, grid)
+    profile, norms = grand._norm_sup(abs_vals, weights, exp, grid, table=True)
     return ([(e.hex(), v.hex()) for e, v in profile.entries], profile.argmax_eps.hex(),
             profile.sup_value.hex(), [x.hex() for x in norms])
 
@@ -151,6 +154,24 @@ def test_a_slow_worker_leaves_the_rest_to_the_caller(lanes):
 
     assert grand._on_two_lanes(fn, list(range(40))) == [2 * x for x in range(40)]
     assert len(on_worker) <= 1
+
+
+def test_a_job_the_worker_picks_up_late_keeps_no_input_alive(lanes):
+    # the worker sits on another job, so the caller takes every item; the
+    # job it left in the queue must not hold the inputs until it is run
+    lanes(True)
+    grand._on_two_lanes(abs, [1.0, 2.0])   # the worker is running
+    hold = threading.Event()
+    grand._lane.put((contextvars.copy_context(), lambda: hold.wait(timeout=30),
+                     queue.SimpleQueue()))
+    try:
+        a = np.ones(8)
+        gone = weakref.ref(a)
+        assert grand._on_two_lanes(lambda x: float(x.sum()), [a, a]) == [8.0, 8.0]
+        del a
+        assert gone() is None
+    finally:
+        hold.set()
 
 
 def test_concurrent_callers_share_one_worker(lanes, monkeypatch):
