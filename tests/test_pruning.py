@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from grandam import grand
 from grandam.amalgam import Window, discrete_space_norm
-from grandam.core import (COUNTING, INTERVAL, GrandExponent, MeasureSpace, SampledFunction,
+from grandam.core import (INTERVAL, GrandExponent, MeasureSpace, SampledFunction,
                           lp_norm, make_epsilon_grid)
-from grandam.grand import epsilon_profile, grand_norm, grand_sequence_norm
+from grandam.grand import epsilon_profile, grand_sequence_norm
 
 THETAS = (0.0, 1e-6, 1e-3, 0.5, 3.0)
 KINDS = ("uniform", "lognormal", "one-spike", "constant", "cauchy")
@@ -152,27 +152,21 @@ def test_lane_sized_pruned_supremum_is_the_full_tables_float(counted, monkeypatc
             assert pruned_calls <= table_calls
 
 
-@pytest.mark.parametrize("space", ["cyclic", "counting"])
-@pytest.mark.parametrize("kind", KINDS)
+FLAT = ([(space, kind, 1) for space in ("cyclic", "counting") for kind in KINDS]
+        + [("cyclic", "constant", n) for n in (2, 64, 1000)])
+
+
+@pytest.mark.parametrize("space, kind, n", FLAT)
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_flat_profiles_turn_pruning_off(counted, space, kind, p):
-    # one atom of weight 1 at theta = 0: ||f||_r is flat in r, and the
-    # values differ by rounding alone, so no bound can tell the grid points
-    # apart (an atom of another weight w gives w^(1/r) |a|, which is not flat)
+def test_flat_profiles_turn_pruning_off(counted, space, kind, n, p):
+    # at theta = 0, one atom of weight 1, or a constant on a probability
+    # space, has ||f||_r flat in r: the values differ by rounding alone, so
+    # no bound can tell the grid points apart (an atom of another weight w
+    # gives w^(1/r) |a|, which is not flat)
     e = GrandExponent(p, 0.0)
-    grid = make_epsilon_grid(e)
-    sp = _space(space, 1, 5)
-    abs_vals = np.abs(_values(kind, 1, 5))
-    table, table_calls, pruned, pruned_calls = _both(counted, abs_vals, sp.weights, e, grid)
-    assert _hex(pruned) == _hex(table)
-    assert pruned_calls == table_calls
-
-
-@pytest.mark.parametrize("n", [2, 64, 1000])
-def test_constants_at_theta_zero_on_a_probability_space_turn_pruning_off(counted, n):
-    e = GrandExponent(2.0, 0.0)
-    sp = MeasureSpace.cyclic(n)
-    table, table_calls, pruned, pruned_calls = _both(counted, np.full(n, 0.7), sp.weights, e,
+    sp = _space(space, n)
+    abs_vals = np.abs(_values(kind, n, 5))
+    table, table_calls, pruned, pruned_calls = _both(counted, abs_vals, sp.weights, e,
                                                      make_epsilon_grid(e))
     assert _hex(pruned) == _hex(table)
     assert pruned_calls == table_calls
@@ -228,17 +222,3 @@ def test_a_large_counting_norm_takes_few_r_norms(counted, p, theta):
     counted.clear()
     assert value == epsilon_profile(u, e).sup_value
     assert len(counted) >= 106
-
-
-def test_unit_mass_windows_keep_the_sequence_norms_bits():
-    # the pruned path runs the same arithmetic with scale_base = 1
-    amb = MeasureSpace.cyclic(12, COUNTING)
-    U = Window(amb, (5,))
-    rng = np.random.default_rng(24)
-    for theta in THETAS:
-        e = GrandExponent(2.0, theta)
-        grid = make_epsilon_grid(e)
-        lam = SampledFunction(MeasureSpace.counting(12), rng.random(12))
-        assert (discrete_space_norm(lam, U, list(range(12)), e, grid).hex()
-                == grand_sequence_norm(lam, e, grid).hex()
-                == grand_norm(lam, e, grid).hex())
