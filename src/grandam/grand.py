@@ -14,18 +14,18 @@ sequence norms (counting measure), the discrete translate-step norms used
 by amalgam discretization and, through the constant function, the upper
 embedding constant all run through ``_norm_sup``, the one evaluation path.
 
-A caller that reads only the supremum (``grand_norm``,
-``grand_sequence_norm``, the amalgam local norms, ``discrete_space_norm``
-and ``embedding_constants``) gets it pruned: a certified upper bound on
-the weighted norm between evaluated points leaves out the grid points,
-and the polish at an end of the ladder, that cannot win, so the value is
-the float the full table gives. A caller that reads entries or per-eps
-norms (``epsilon_profile``, so the ``profile`` CLI, and
-``submultiplicativity_check``) gets the full table. On 2^16 uniform atoms
-with the default 64-point grid the full table takes 106-108 r-norm
-evaluations; pruned, counting weights take 12-13, probability weights 10
-at theta = 0 and 54 at theta > 0, where the interior maximum is polished
-as before. ``_norm_sup`` holds the proof.
+Every supremum is pruned except the one ``epsilon_profile`` (so the
+``profile`` CLI) takes, whose entries are a report: a certified upper
+bound on the weighted norm between evaluated points leaves out the grid
+points, and the polish at the top of the ladder, that cannot win, so the
+value is the float the full table gives. ``submultiplicativity_check``
+takes the pruned suprema and then evaluates the grid points they left
+out, for its per-eps table. On 2^16 uniform atoms with the default
+64-point grid the full table takes 106-108 r-norm evaluations; pruned,
+counting weights take 12-13 and probability weights 10 at theta = 0 and
+12 at theta > 0, where the maximum sits at the top of the ladder and a
+bound cut into pieces proves that no polish probe can beat it.
+``_norm_sup`` holds the proof.
 
 Inputs of at least 2^14 atoms (``_LANE_MIN_ATOMS``), in a process allowed
 on two or more CPUs, are evaluated on two lanes: the calling thread and
@@ -57,6 +57,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEPS = 200   # step cap of each golden-section polish
 _LANE_MIN_ATOMS = 2 ** 14   # inputs this large are evaluated on two lanes
 _FIRST_STRIDE = 8   # pruning's first pass: both ends and every 8th grid point
+_TOP_PIECES = 48   # most pieces of a top-end certificate
 _U = 2.0 ** -53   # unit roundoff
 _SLACK = 2.0 ** -40   # eta of the pruning bound, and the fixed part of its delta
 _ABS = 2.0 ** -1070   # absolute slack for weights below the normal range
@@ -237,6 +238,16 @@ def _sup_over_grid(g, grid, zero_limit, vals, batch=None):
     return _profile(list(zip(grid.eps_values.tolist(), vals)), probes, zero_limit)
 
 
+def _probe_gap(lo, hi, tol):
+    """A distance below ``hi`` closer than which no polish of [lo, hi] probes, or None.
+
+    (1 - phi) * min(hi - lo, phi * tol * lo), less a rounding allowance of
+    16 u hi; None where that distance is lost in rounding. See ``_norm_sup``.
+    """
+    gap = (1.0 - _INV_PHI) * min(hi - lo, _INV_PHI * tol * lo)
+    return gap - 16.0 * _U * hi if gap >= 2.0 ** -48 * hi else None
+
+
 def _rounding_margin(size, weights, p, extent, scale_base):
     """delta of ``_prune``, or None where its proof does not apply.
 
@@ -270,6 +281,12 @@ class _Ladder:
         n = len(self.eps)
         self.norms, self.lift, self.mass, self.vals = ([None] * n for _ in range(4))
 
+    def fill(self):
+        """Evaluate every grid point not yet evaluated; returns ``norms``."""
+        with np.errstate(over="ignore"):
+            self.evaluate(range(len(self.eps)))
+        return self.norms
+
     def evaluate(self, indices):
         """Evaluate the grid points at ``indices`` not yet evaluated; returns those."""
         eps, p, theta, base = self.eps, self.p, self.theta, self.scale_base
@@ -290,35 +307,76 @@ class _Ladder:
         return ((self.lift[j] + _ABS) * max(self.mass[i], self.mass[j])
                 * max(self.norms[i], self.norms[j]) + _ABS)
 
-    def top_end_bound(self, i, tol):
+    def piece_bound(self, a, c, norm):
+        """Bound on the weighted norm over [a, c], given a bound ``norm`` on ||f|| there."""
+        p, base = self.p, self.scale_base
+        return ((c ** (self.theta / (p - c)) + _ABS)
+                * max(base ** (1.0 / (p - a)), base ** (1.0 / (p - c))) * norm + _ABS)
+
+    def top_end_bound(self, i, tol, floor):
         """Bound on the weighted norm over [eps_i, b], i below the top index.
 
-        b lies below the top eps by half the least distance at which a
-        polish of the top bracket probes (see ``_norm_sup``), or the bound
-        is inf where that distance is lost in rounding.
+        b lies below the top eps by the least distance at which a polish of
+        the top bracket may probe (``_probe_gap``); the bound is inf where
+        that distance is lost in rounding. Where the norm falls towards the
+        top, [eps_i, b] is cut into pieces, each about as wide as a bound
+        below ``floor`` allows, and the largest piece bound is returned; the
+        cut stops at the first piece whose bound reaches ``floor``, and the
+        bound is inf when the pieces would run out (``_TOP_PIECES``) before
+        reaching b. See ``_norm_sup``.
         """
-        eps, p = self.eps, self.p
-        lo, hi = eps[-2], eps[-1]
-        margin = 0.5 * (1.0 - _INV_PHI) * min(hi - lo, _INV_PHI * tol * lo)
-        if not margin >= 2.0 ** -48 * hi:
+        eps, p, theta = self.eps, self.p, self.theta
+        hi = eps[-1]
+        gap = _probe_gap(eps[-2], hi, tol)
+        if gap is None or not floor > 0.0:
             return math.inf
-        b = hi - margin
-        r_b = p - b
-        lift_b = b ** (self.theta / r_b)
-        mass_b = self.scale_base ** (1.0 / r_b)
+        b = hi - gap
         n_i, n_j = self.norms[i], self.norms[-1]
-        norm = n_i if n_i >= n_j else n_j
         q_i = 1.0 / (p - eps[i])
         d = 1.0 / (p - hi) - q_i
-        if n_i < n_j and d > 2.0 ** -30:
-            # ||f||_r <= n_i^(1-t) n_j^t, 1/r = (1-t)/r_i + t/r_j; below are an
-            # upper bound on t at r_b and a lower bound on ln(n_j/n_i)
-            t = (1.0 / r_b - q_i) / d + 8.0 * _U / d + 8.0 * _U
-            log_i, log_j = math.log(n_i), math.log(n_j)
-            rise = (log_j - log_i) - 4.0 * _U * (abs(log_i) + abs(log_j) + 1.0)
-            if t < 1.0 and rise > 0.0:
-                norm = n_j * math.exp(-((1.0 - t) - 2.0 * _U) * rise)
-        return (lift_b + _ABS) * max(self.mass[i], mass_b) * norm + _ABS
+        # ||f||_r <= n_i^(1-t) n_j^t where 1/r = (1-t)/r_i + t/r_j (Lyapunov);
+        # t is rounded towards the side that makes the bound larger, and so is
+        # the log ratio of the end norms
+        log_i, log_j = (math.log(n_i), math.log(n_j)) if n_i > 0.0 < n_j else (0.0, 0.0)
+        spread = abs(log_i - log_j) - 4.0 * _U * (abs(log_i) + abs(log_j) + 1.0)
+        if not (d > 2.0 ** -30 and spread > 0.0):
+            return self.piece_bound(eps[i], b, max(n_i, n_j))
+        if n_i < n_j:
+            # rising towards the top: one piece, with the norm bound at b
+            t = (1.0 / (p - b) - q_i) / d + 8.0 * _U / d + 8.0 * _U
+            norm = n_j * math.exp(-((1.0 - t) - 2.0 * _U) * spread) if t < 1.0 else n_j
+            return self.piece_bound(eps[i], b, norm)
+
+        # falling towards the top: on a piece [a, c] the norm bound is taken at
+        # a and the eps factors at c. In logs those factors are h(c) below, and
+        # the next c solves h(c) = ln(floor / norm) - (the scale_base factor
+        # fixed by a) along the steeper of the secant of h over [a, b] and its
+        # tangent at a; the piece's bound is then computed, and decides.
+        log_base = math.log(self.scale_base)
+        up, down = max(log_base, 0.0), min(log_base, 0.0)
+        h_b = (theta * math.log(b) + up) / (p - b)
+        a, worst = eps[i], -math.inf
+        for left in reversed(range(_TOP_PIECES)):
+            t = (1.0 / (p - a) - q_i) / d - 8.0 * _U / d - 8.0 * _U
+            norm = n_i * math.exp(-t * spread) if t > 0.0 else n_i
+            goal = math.log(floor / norm) - down / (p - a) - 2.0 * _SLACK
+            log_a = math.log(a)
+            h_a = (theta * log_a + up) / (p - a)
+            if h_b <= goal:
+                c = b
+            elif not h_a < goal:
+                c = a
+            else:
+                slope_a = (theta * ((p - a) / a + log_a) + up) / (p - a) ** 2
+                c = a + (goal - h_a) * min((b - a) / (h_b - h_a), 1.0 / slope_a)
+            bound = self.piece_bound(a, c, norm)
+            worst = max(worst, bound)
+            if not bound * (1.0 + _SLACK) < floor or c >= b:
+                return worst
+            if (b - c) * ((b - c) / (b - a)) ** left > gap:
+                return math.inf   # shrinking at this rate, the pieces run out first
+            a = c
+        return math.inf
 
 
 def _prune(ladder, zero_limit, delta, tol):
@@ -360,7 +418,7 @@ def _prune(ladder, zero_limit, delta, tol):
                 or (k < n - 1 and vals[k + 1] is not None and vals[k + 1] > v)):
             continue   # an evaluated neighbour lies above: not a local maximum
         if k == top == n - 1 and n > 1:
-            bound = ladder.top_end_bound(done[pos - 1], tol)
+            bound = ladder.top_end_bound(done[pos - 1], tol, floor)
         else:
             sides = [bounds[done[pos - 1], k]] if pos > 0 else []
             if pos + 1 < len(done):
@@ -384,8 +442,9 @@ def _norm_sup(abs_vals, weights, exp, grid, scale_base=1.0, table=False):
     instead, making the two code paths bit-identical whenever that mass is
     exactly 1.
 
-    Returns the profile and the plain norms ||.||_{p-eps} at the grid
-    points, in grid order (None at a point not evaluated). Powers that
+    Returns the profile and the ``_Ladder``: its ``norms`` are the plain
+    norms ||.||_{p-eps} at the grid points, in grid order (None at a point
+    not evaluated), and ``_Ladder.fill`` evaluates the rest. Powers that
     overflow are rescaled inside the r-norm kernel, so overflow warnings
     are off for the whole scan; a weighted norm that still overflows
     raises ``ValueError``.
@@ -429,17 +488,57 @@ def _norm_sup(abs_vals, weights, exp, grid, scale_base=1.0, table=False):
     an overflow names the eps the full table names), and when a bound is
     not finite (it never prunes).
 
-    The polish of a top-end bracket [lo, hi]: each golden step keeps a
-    bracket [l, h] inside [lo, hi] and probes at l + phi*(h - l) and
-    h - phi*(h - l), phi = 0.618..., so at least (1 - phi)(h - l) from
-    both ends. The first two probes use h - l = hi - lo; every later step
-    is taken from a bracket wider than tol * h >= tol * lo and leaves one
-    phi times as wide. So no probe comes closer to hi than
-    (1 - phi) * min(hi - lo, phi * tol * lo) >= 0.236 * min(...), up to
-    a few roundings of size 2^-53 * hi. The certificate covers
-    [eps_i, hi - half that distance] (``_Ladder.top_end_bound``), using
-    the interpolation bound at that end with t rounded up, and is not
-    used when half the distance is below 2^-48 * hi.
+    The probes of a top-end polish of [lo, hi] (``_probe_gap``). With u =
+    2^-53 and phi the float ``_INV_PHI``, every probe is computed from the
+    current bracket [l, h] as fl(l + fl(phi fl(h - l))) or
+    fl(h - fl(phi fl(h - l))), so it is at most h; and h only moves down,
+    to a probe. So a polish follows the path on which every comparison
+    rises (h = hi throughout) until it first moves h, and probes below
+    that probe afterwards: no polish probes nearer to hi than that one
+    path does. On it, let D_k = hi - (the k-th new probe d), with
+    D_-2 = hi - lo and D_-1 = hi - c_0. Probe d_(k+1) is made from the
+    bracket [d_(k-1), hi], and hi - fl(l + fl(phi fl(hi - l))) lies within
+    2.25 u hi of (1 - phi)(hi - l) (the roundings of hi - l and of the
+    product move phi (hi - l) by at most 1.24 u hi, that of the sum, at
+    most hi, by u hi); so D_(k+1) = (1 - phi) D_(k-1) + e_k with
+    |e_k| <= 2.25 u hi, D_0 likewise from D_-2, and D_-1 = phi D_-2 + e.
+    Against the exact sequence, (1 - phi)^(m+1) D_-2 at k = 2m and
+    phi (1 - phi)^m D_-2 at k = 2m - 1, the errors stay below
+    2.25 u hi / phi < 3.7 u hi, and the exact sequence falls by at least
+    phi (1 - phi)(1 - 2u) over three steps. Probe d_(k+1) is made only
+    after the loop test fl(hi - d_(k-2)) > fl(tol hi) has passed, so
+    D_(k-2) > tol hi >= tol lo, and D_(k+1) > phi (1 - phi) tol lo
+    - 5.1 u hi; the first two probes lie at least (1 - phi)(hi - lo)
+    - 2.3 u hi below hi. The computed distance
+    (1 - phi) min(hi - lo, phi tol lo), less 16 u hi, and hi less it,
+    carry at most 3 u hi more rounding; so every probe lies in [lo, b],
+    b = hi - that distance. The allowance is needed: on random narrow
+    brackets the nearest probe comes closer than the exact distance by
+    almost u hi. It is not used when the distance is below 2^-48 hi.
+
+    The certificate of a top-end bracket (``_Ladder.top_end_bound``)
+    bounds the weighted norm on [eps_i, b] piece by piece. On a piece
+    [a, c] it takes the epsilon weight at c, the scale_base factor at its
+    larger end, and the interpolation bound n_i^(1-t) n_j^t at the end of
+    the piece where it is largest. t = (1/r - 1/r_i)/(1/r_j - 1/r_i)
+    rises with eps, and the kernel's exponent at every point of [a, c]
+    lies in [fl(p - c), fl(p - a)]. So where n_i >= n_j (the norm falls
+    towards the top) it is taken at a, with t and ln(n_i/n_j) rounded
+    down, and the region is cut into pieces; where n_i < n_j it is taken
+    at b, with t rounded up, and one piece covers the region. (1/r is at
+    most 1 + 2u here, so each of t's three differences and two quotients
+    is off by at most 3u/(1/r_j - 1/r_i) + u; 8u/(1/r_j - 1/r_i) + 8u
+    covers them.) Each piece bound is the three-factor bound above on a
+    piece of the gap, so the largest over the pieces bounds the region.
+    The next piece end solves, in logs, epsilon factors at c = floor /
+    (norm bound at a), along the steeper of the secant over [a, b] and the
+    tangent at a; since the computed piece bound decides, that choice
+    needs no proof. The cut stops at the first piece whose bound reaches
+    the floor. It gives up (inf) after ``_TOP_PIECES`` pieces, or as soon
+    as the pieces left, each shrinking the rest of the region at the rate
+    of the last one, would not bring it within the probe gap of b: the
+    pieces then close in on a point the bound cannot clear, such as a
+    maximum inside the bracket, or too slowly to pay.
 
     delta, the rounding margin (``_rounding_margin``). With u = 2^-53,
     powers within 16 ulps (glibc's pow is within 1) and n atoms, a computed
@@ -503,7 +602,7 @@ def _norm_sup(abs_vals, weights, exp, grid, scale_base=1.0, table=False):
         at = next(e for e, v in profile.entries if v == math.inf)
         raise ValueError(f"the weighted norm eps^(theta/(p-eps)) * ||f||_(p-eps) "
                          f"overflowed at eps (={at})")
-    return profile, ladder.norms
+    return profile, ladder
 
 
 def _resolve_grid(exp, grid):

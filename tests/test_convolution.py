@@ -16,6 +16,7 @@ from grandam.convolution import (_BLOCK_ROWS, FiniteAbelianGroup,
                                  noncompact_witness, submultiplicativity_check)
 from grandam.core import (COUNTING, PROBABILITY, GrandExponent, MeasureSpace,
                           SampledFunction, lp_norm, make_epsilon_grid)
+from grandam import grand
 from grandam.grand import grand_norm
 
 from oracles import brute_convolve, brute_group_convolve, full_gather
@@ -240,6 +241,41 @@ def test_per_eps_rows_are_the_plain_lp_norms(factors, normalization, theta):
         r = e.p - row.eps
         assert row.lhs == lp_norm(conv, r)
         assert row.rhs == lp_norm(f, r) * lp_norm(h, r)
+
+
+def test_the_check_reads_the_pruned_ladder(monkeypatch):
+    # the three suprema are pruned, and only the grid points pruning left
+    # out are evaluated for the per-eps table; every module that calls the
+    # r-norm kernel counts
+    calls = []
+    kernel = grandam.core._weighted_r_norm
+
+    def count(*args):
+        calls.append(args[2])
+        return kernel(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("grandam") and hasattr(module, "_weighted_r_norm"):
+            monkeypatch.setattr(module, "_weighted_r_norm", count)
+    g = FiniteAbelianGroup.cyclic(2048)
+    rng = np.random.default_rng(2048)
+    f = SampledFunction(g.space, rng.uniform(0.0, 1.0, g.order))
+    h = SampledFunction(g.space, rng.uniform(0.0, 1.0, g.order))
+    e = GrandExponent(2.0, 1.0)
+    grid = make_epsilon_grid(e)
+    rep = submultiplicativity_check(f, h, g, e, grid)
+    assert len(calls) <= 200   # 318 with three full tables
+    conv = convolve(f, h, g)
+    (conv_sup, conv_ladder), (f_sup, f_ladder), (h_sup, h_ladder) = (
+        grand._norm_sup(x.abs_values(), x.space.weights, e, grid, table=True)
+        for x in (conv, f, h))
+    assert rep.lhs.hex() == conv_sup.sup_value.hex()
+    assert rep.rhs.hex() == (f_sup.sup_value * h_sup.sup_value).hex()
+    for row, nc, nf, nh in zip(rep.per_eps, conv_ladder.norms, f_ladder.norms,
+                               h_ladder.norms):
+        r = e.p - row.eps
+        assert row.lhs.hex() == nc.hex() == lp_norm(conv, r).hex()
+        assert row.rhs.hex() == (nf * nh).hex() == (lp_norm(f, r) * lp_norm(h, r)).hex()
 
 
 def test_amalgam_algebra_certified_constant():

@@ -65,9 +65,9 @@ def lanes(monkeypatch):
 
 
 def _bits(abs_vals, weights, exp, grid):
-    profile, norms = grand._norm_sup(abs_vals, weights, exp, grid, table=True)
+    profile, ladder = grand._norm_sup(abs_vals, weights, exp, grid, table=True)
     return ([(e.hex(), v.hex()) for e, v in profile.entries], profile.argmax_eps.hex(),
-            profile.sup_value.hex(), [x.hex() for x in norms])
+            profile.sup_value.hex(), [x.hex() for x in ladder.norms])
 
 
 @pytest.mark.parametrize("kind", ["cyclic", "counting", "interval"])

@@ -3,7 +3,8 @@
 ``grand._norm_sup`` evaluates only the grid points, and polishes only the
 brackets, that a certified bound cannot rule out; with ``table=True`` it
 evaluates the whole grid. These tests compare the two by ``float.hex``
-and count the r-norm calls of each.
+and count the r-norm calls of each; the last ones run the polish that the
+top-end certificate skips, and the golden steps it bounds.
 """
 
 import math
@@ -15,9 +16,9 @@ from hypothesis import strategies as st
 
 from grandam import grand
 from grandam.amalgam import Window, discrete_space_norm
-from grandam.core import (INTERVAL, GrandExponent, MeasureSpace, SampledFunction,
+from grandam.core import (INTERVAL, GrandExponent, MeasureSpace, SampledFunction, _extent,
                           lp_norm, make_epsilon_grid)
-from grandam.grand import epsilon_profile, grand_sequence_norm
+from grandam.grand import epsilon_profile, grand_norm, grand_sequence_norm
 
 THETAS = (0.0, 1e-6, 1e-3, 0.5, 3.0)
 KINDS = ("uniform", "lognormal", "one-spike", "constant", "cauchy")
@@ -222,3 +223,144 @@ def test_a_large_counting_norm_takes_few_r_norms(counted, p, theta):
     counted.clear()
     assert value == epsilon_profile(u, e).sup_value
     assert len(counted) >= 106
+
+
+@pytest.mark.parametrize("p, theta", [(2.0, 1.0), (1.5, 0.5), (2.5, 2.0)])
+def test_a_large_probability_norm_takes_few_r_norms(counted, p, theta):
+    # uniform data on probability weights peaks at the top of the ladder
+    # when theta > 0, and the piecewise certificate skips that polish
+    n = 2 ** 16
+    f = SampledFunction(MeasureSpace.cyclic(n), np.random.default_rng(16).uniform(-1.0, 1.0, n))
+    e = GrandExponent(p, theta)
+    value = grand_norm(f, e)
+    assert len(counted) <= 16
+    counted.clear()
+    profile = epsilon_profile(f, e)
+    assert value == profile.sup_value
+    assert profile.argmax_eps == e.eps_max
+    assert len(counted) >= 106
+
+
+def _weighted(abs_vals, weights, exp, scale_base):
+    """The weighted norm at eps, computed as ``_norm_sup`` computes it."""
+    extent = _extent(abs_vals, weights)
+    p, theta = exp.p, exp.theta
+
+    def g(eps):
+        r = p - eps
+        return ((eps ** (theta / r)) * scale_base ** (1.0 / r)
+                * grand._weighted_r_norm(abs_vals, weights, r, extent))
+    return g
+
+
+@pytest.mark.parametrize("p, theta", [(2.0, 1.0), (1.5, 0.5), (2.5, 2.0), (3.0, 1e-3),
+                                      (1.2, 3.0)])
+def test_a_skipped_top_end_polish_could_not_have_won(monkeypatch, p, theta):
+    skipped = []
+    certify = grand._Ladder.top_end_bound
+
+    def spy(ladder, i, tol, floor):
+        bound = certify(ladder, i, tol, floor)
+        if bound * (1.0 + grand._SLACK) < floor:
+            skipped.append(bound)
+        return bound
+
+    monkeypatch.setattr(grand._Ladder, "top_end_bound", spy)
+    e = GrandExponent(p, theta)
+    grid = make_epsilon_grid(e)
+    lo, hi = grid.eps_values[-2:].tolist()
+    fired = 0
+    for space, scale_base in (("cyclic", 1.0), ("interval", 1.0), ("counting", 1.0),
+                              ("counting", 3.0), ("interval", 0.25)):
+        for n in (1, 3, 64, 1000):
+            sp = _space(space, n, n)
+            for kind in KINDS:
+                abs_vals = np.abs(_values(kind, n, n + 1))
+                skipped.clear()
+                best = grand._norm_sup(abs_vals, sp.weights, e, grid, scale_base)[0].sup_value
+                if not skipped:
+                    continue
+                fired += 1
+                probes = []
+                grand._golden_max(_weighted(abs_vals, sp.weights, e, scale_base), lo, hi,
+                                  grid.relative_tolerance, probes)
+                for eps, v in probes:
+                    assert v <= skipped[0] * (1.0 + grand._SLACK), (space, n, kind, eps)
+                    assert v < best, (space, n, kind, eps)
+    assert fired >= 40
+
+
+def _spike(n):
+    spike = np.zeros(n)
+    spike[7] = 1.0
+    return spike, MeasureSpace.cyclic(n).weights
+
+
+# each weighted norm peaks inside the top bracket, above the grid's best
+# point at the top: one atom of weight w, where theta ((p - e)/e + ln e) =
+# -ln w puts the peak, on the default grid; a spike on a three-point grid
+TOP_BRACKET_PEAKS = ([("atom", w, 64, 2.0, 1.0) for w in (0.33, 0.35, 0.36)]
+                     + [("spike", n, 3, p, theta) for n in (64, 1000)
+                        for p, theta in ((2.0, 1.0), (1.5, 2.0))])
+
+
+@pytest.mark.parametrize("kind, w_or_n, points, p, theta", TOP_BRACKET_PEAKS)
+def test_a_maximum_inside_the_top_bracket_keeps_its_polish(counted, kind, w_or_n, points, p,
+                                                           theta):
+    abs_vals, weights = ((np.ones(1), np.full(1, w_or_n)) if kind == "atom"
+                         else _spike(w_or_n))
+    e = GrandExponent(p, theta)
+    grid = make_epsilon_grid(e, points=points)
+    table, _, pruned, _ = _both(counted, abs_vals, weights, e, grid)
+    grid_values = [v for eps, v in table.entries if eps in grid.eps_values.tolist()]
+    assert max(grid_values) == grid_values[-1] < table.sup_value
+    assert pruned.sup_value.hex() == table.sup_value.hex()
+
+
+def test_no_polish_probes_nearer_the_top_than_the_certified_gap():
+    # any polish probes below the path on which every comparison rises
+    # (a monotone stand-in), whatever its values; the gap the certificate
+    # uses must keep that path's nearest probe below hi - gap
+    rng = np.random.default_rng(2024)
+    stand_ins = (lambda e: e, lambda e: rng.random())
+    checked = 0
+    for trial in range(3000):
+        hi = float(10.0 ** rng.uniform(-6.0, 1.0))
+        lo = hi * (float(rng.uniform(0.0, 0.99)) if trial % 2
+                   else 1.0 - float(10.0 ** rng.uniform(-13.0, -1.0)))
+        tol = float(10.0 ** rng.uniform(-12.0, -3.0))
+        gap = grand._probe_gap(lo, hi, tol)
+        if gap is None:
+            continue
+        checked += 1
+        for g in stand_ins:
+            path = []
+            grand._golden_max(g, lo, hi, tol, path)
+            assert max(eps for eps, _ in path) <= hi - gap, (lo, hi, tol)
+    assert checked > 2900
+
+
+def test_a_top_end_bound_within_rounding_of_the_best_keeps_the_polish(monkeypatch):
+    # computed values are off by up to rho, so a bound below the best by
+    # less than delta proves nothing and the top-end polish stays planned
+    n = 2 ** 11
+    sp = MeasureSpace.cyclic(n)
+    abs_vals = np.abs(_values("uniform", n, n))
+    e = GrandExponent(2.0, 1.0)
+    grid = make_epsilon_grid(e)
+    extent = _extent(abs_vals, sp.weights)
+    delta = grand._rounding_margin(n, sp.weights, e.p, extent, 1.0)
+
+    def plan():
+        ladder = grand._Ladder(grid, e, 1.0,
+                               lambda r: grand._weighted_r_norm(abs_vals, sp.weights, r, extent),
+                               False)
+        return grand._prune(ladder, 0.0, delta, grid.relative_tolerance), ladder
+
+    skip, ladder = plan()
+    assert skip == []   # the certificate holds: no polish
+    best = ladder.vals[-1]
+    near = best * (1.0 - 2.0 * grand._SLACK)
+    assert best * (1.0 - delta) < near < best
+    monkeypatch.setattr(grand._Ladder, "top_end_bound", lambda ladder, i, tol, floor: near)
+    assert plan()[0] == [len(grid.eps_values) - 1]
