@@ -11,9 +11,10 @@ The weighted r-norm kernel (``_weighted_r_norm``) raises |f| to the power
 r and takes one BLAS dot product with the weights. Over more than 10 000
 atoms that dot product is split between the BLAS threads, so its bits
 depend on the BLAS thread count (OPENBLAS_NUM_THREADS); for a given BLAS
-setting every norm is deterministic. ``grand`` spreads the r-norms of an
-input of at least 2^14 atoms over two threads (two lanes); each is the
-same call on either thread, so the lanes keep these bits.
+setting every norm is deterministic. ``grand`` spreads the ladder batches
+of an input of at least 2^14 atoms (the grid points it evaluates
+together) over two threads (two lanes); each r-norm is the same call on
+either thread, so the lanes keep these bits.
 """
 
 import math
@@ -272,7 +273,9 @@ class GrandExponent:
 
     The associated epsilon range is the half-open interval (0, p - 1];
     theta = 0 switches the epsilon weight off entirely. theta * |ln(p - 1)|
-    stays below ln(max float), so (p - 1)^theta and (p - 1)^-theta are finite.
+    stays below ln(max float), so (p - 1)^theta and (p - 1)^-theta are finite,
+    and p - 1 is exact (p below 2^53), so the top of the ladder, r = p - (p - 1),
+    is 1.
     """
 
     p: float
@@ -288,6 +291,8 @@ class GrandExponent:
         if theta * abs(math.log(p - 1.0)) >= _LOG_MAX:
             raise ValueError(f"theta (={theta}) is too large for p (={p}): "
                              f"(p - 1)^theta leaves float range")
+        if p - (p - 1.0) != 1.0:
+            raise ValueError(f"p (={p}) is too large: p - 1 is not exact in floats")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "theta", theta)
 

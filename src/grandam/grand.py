@@ -28,12 +28,13 @@ bound cut into pieces proves that no polish probe can beat it.
 ``_norm_sup`` holds the proof.
 
 Inputs of at least 2^14 atoms (``_LANE_MIN_ATOMS``), in a process allowed
-on two or more CPUs, are evaluated on two lanes: the calling thread and
-one worker thread share each batch of grid points, and the polish probes
-at an end of the ladder, each taking the next point neither has taken.
-The crossover, with one BLAS thread on two CPUs, lies between 2^11 and
-2^12 atoms; 2^14 leaves room for slower thread hand-offs, and every
-smaller input runs as before, on the calling thread alone. A profile has
+on two or more CPUs, have their ladder batches evaluated on two lanes: the
+calling thread and one worker thread share the first pass, each round's
+midpoints and the full table, each taking the next grid point neither has
+taken. Polish probes, each placed by the one before, run on the calling
+thread. The crossover, with one BLAS thread on two CPUs, lies between
+2^11 and 2^12 atoms; 2^14 leaves room for slower thread hand-offs, and
+every smaller input runs on the calling thread alone. A profile has
 the same bits on either path for a given BLAS setting. The bits of any
 r-norm over more than 10 000 atoms already depend on the BLAS thread
 count (OpenBLAS splits a longer dot product between its threads). With
@@ -151,12 +152,6 @@ class EpsilonProfile:
     argmax_eps: float
     sup_value: float
 
-    def value_at(self, eps):
-        for e, v in self.entries:
-            if e == eps:
-                return v
-        raise KeyError(f"eps (={eps}) was not evaluated")
-
 
 def _golden_max(g, lo, hi, rel_tol, record):
     """Golden-section maximisation on [lo, hi]; every probe lands in ``record``."""
@@ -183,31 +178,9 @@ def _golden_max(g, lo, hi, rel_tol, record):
         it += 1
 
 
-def _polish(g, grid, k, batch, record):
-    """Golden polish of the bracket around grid index ``k``; probes land in ``record``.
-
-    ``batch``, when given, maps a list of points to their g values all at
-    once. A bracket at an end of the ladder then has its probes evaluated
-    ahead: they are the probes ``_golden_max`` makes on a strictly monotone
-    stand-in (rising towards the end), and the polish itself reads them
-    back, evaluating afresh any probe off that path. Every probe and value
-    is the one the plain polish gives.
-    """
-    eps = grid.eps_values
-    n = eps.size
-    lo, hi = float(eps[max(k - 1, 0)]), float(eps[min(k + 1, n - 1)])
-    h = g
-    if batch is not None and k in (0, n - 1):
-        path = []
-        stand_in = (lambda e: e) if k == n - 1 else (lambda e: -e)
-        _golden_max(stand_in, lo, hi, grid.relative_tolerance, path)
-        points = [e for e, _ in path]
-        ahead = dict(zip(points, batch(points)))
-
-        def h(e):
-            v = ahead.get(e)
-            return g(e) if v is None else v
-    _golden_max(h, lo, hi, grid.relative_tolerance, record)
+def _polish(g, eps, k, tol, record):
+    """Golden polish of the bracket around ladder index ``k``; probes land in ``record``."""
+    _golden_max(g, eps[max(k - 1, 0)], eps[min(k + 1, len(eps) - 1)], tol, record)
 
 
 def _profile(points, probes, zero_limit):
@@ -216,26 +189,6 @@ def _profile(points, probes, zero_limit):
     best_eps, best_val = max(entries, key=lambda t: t[1])
     entries.sort(key=lambda t: t[0])
     return EpsilonProfile(tuple(entries), best_eps, best_val)
-
-
-def _sup_over_grid(g, grid, zero_limit, vals, batch=None):
-    """Supremum of ``g`` over the whole grid with golden refinement.
-
-    ``vals`` holds g at every grid point, in grid order. Refinement
-    brackets the two best local maxima of the grid scan, so a secondary
-    hump cannot be silently dropped. ``zero_limit`` is the eps -> 0
-    boundary value; it only takes over when it strictly beats everything
-    actually evaluated. ``batch`` is passed on to ``_polish``.
-    """
-    n = len(vals)
-    local = [i for i in range(n)
-             if (i == 0 or vals[i] >= vals[i - 1])
-             and (i == n - 1 or vals[i] >= vals[i + 1])]
-    local.sort(key=lambda i: vals[i], reverse=True)
-    probes = []
-    for k in local[:2]:
-        _polish(g, grid, k, batch, probes)
-    return _profile(list(zip(grid.eps_values.tolist(), vals)), probes, zero_limit)
 
 
 def _probe_gap(lo, hi, tol):
@@ -271,7 +224,8 @@ class _Ladder:
     At an evaluated index i, with r_i = p - eps_i: ``norms[i]`` is
     ||f||_(r_i), ``lift[i]`` is eps_i^(theta/r_i), ``mass[i]`` is
     scale_base^(1/r_i) and ``vals[i]`` is their product, the weighted
-    norm. Entries not evaluated are None.
+    norm (``weigh``, which polish probes go through too). Entries not
+    evaluated are None.
     """
 
     def __init__(self, grid, exp, scale_base, r_norm, lanes):
@@ -289,18 +243,33 @@ class _Ladder:
 
     def evaluate(self, indices):
         """Evaluate the grid points at ``indices`` not yet evaluated; returns those."""
-        eps, p, theta, base = self.eps, self.p, self.theta, self.scale_base
-        lift, mass, norms, vals = self.lift, self.mass, self.norms, self.vals
+        eps, p, norms = self.eps, self.p, self.norms
         todo = [i for i in indices if norms[i] is None]
         rs = [p - eps[i] for i in todo]
         got = (_on_two_lanes(self.r_norm, rs) if self.lanes and len(rs) > 1
                else [self.r_norm(r) for r in rs])
         for i, r, norm in zip(todo, rs, got):
-            a = lift[i] = eps[i] ** (theta / r)
-            b = mass[i] = base ** (1.0 / r)
             norms[i] = norm
-            vals[i] = a * b * norm
+            self.lift[i], self.mass[i], self.vals[i] = self.weigh(eps[i], r, norm)
         return todo
+
+    def weigh(self, e, r, norm):
+        """(eps^(theta/r), scale_base^(1/r), their product with ``norm``) at eps = e, r = p - e."""
+        lift = e ** (self.theta / r)
+        mass = self.scale_base ** (1.0 / r)
+        return lift, mass, lift * mass * norm
+
+    def at(self, e):
+        """The weighted norm at any eps = e, evaluated afresh and not kept."""
+        r = self.p - e
+        return self.weigh(e, r, self.r_norm(r))[2]
+
+    def peaks(self):
+        """The full table's two best local maxima, best first (ties: the lower eps)."""
+        vals, last = self.vals, len(self.vals) - 1
+        local = [i for i, v in enumerate(vals)
+                 if (i == 0 or v >= vals[i - 1]) and (i == last or v >= vals[i + 1])]
+        return sorted(local, key=lambda i: vals[i], reverse=True)[:2]
 
     def gap_bound(self, i, j):
         """Bound on the weighted norm over [eps_i, eps_j]; both ends evaluated, i < j."""
@@ -449,12 +418,14 @@ def _norm_sup(abs_vals, weights, exp, grid, scale_base=1.0, table=False):
     are off for the whole scan; a weighted norm that still overflows
     raises ``ValueError``.
 
-    With ``table`` every grid point is evaluated: the profile holds the
-    whole table, and the two best local maxima of the grid are polished.
-    Without it, pruning leaves out every point that provably cannot win,
-    and the profile holds only the points evaluated; its ``sup_value`` is
-    the same float. When the proof below does not go through, pruning is
-    off for the call and the full table is taken.
+    Every supremum runs one sequence: evaluate the ladder, choose a plan
+    (the grid indices whose brackets are polished), polish, and build the
+    profile. Pruning (below) evaluates only the points that may win and
+    plans at most the grid's best point; the profile holds the points
+    evaluated, and its ``sup_value`` is the full table's float. With
+    ``table``, or when the proof below does not go through, every grid
+    point is evaluated and the plan is the table's two best local maxima,
+    so a secondary hump cannot be silently dropped.
 
     Pruning. The first pass evaluates both ends of the ladder, every 8th
     grid point and the eps -> 0 value. Each round then bounds the weighted
@@ -561,43 +532,34 @@ def _norm_sup(abs_vals, weights, exp, grid, scale_base=1.0, table=False):
     more: a top value times min(w_min, 1) below the normal range, a
     scale_base outside it, or rho >= 0.1.
 
-    Large inputs are evaluated on two lanes (see the module docstring):
-    the first pass, each round's midpoints and the probes of an end polish.
-    Each r-norm is the same call on either lane, with the same bits.
+    The ladder batches of a large input are evaluated on two lanes (see
+    the module docstring): the first pass, each round's midpoints and the
+    full table. Each r-norm is the same call on either lane, with the same
+    bits; the polish runs on the calling thread.
     """
     p = exp.p
-    theta = exp.theta
+    tol = grid.relative_tolerance
     extent = _extent(abs_vals, weights)
 
     def r_norm(r):
         return _weighted_r_norm(abs_vals, weights, r, extent)
 
-    def g(eps):
-        r = p - eps
-        return (eps ** (theta / r)) * scale_base ** (1.0 / r) * r_norm(r)
-
     lanes = abs_vals.size >= _LANE_MIN_ATOMS and _usable_cpus() >= 2
     ladder = _Ladder(grid, exp, scale_base, r_norm, lanes)
-    batch = (lambda points: _on_two_lanes(g, points)) if lanes else None
     with np.errstate(over="ignore"):
-        if theta == 0.0:
-            zero_limit = scale_base ** (1.0 / p) * r_norm(p)
-        else:
-            # eps^(theta/(p-eps)) -> 0 while the norm stays bounded.
-            zero_limit = 0.0
+        # for theta > 0, eps^(theta/(p-eps)) -> 0 while the norm stays bounded
+        zero_limit = scale_base ** (1.0 / p) * r_norm(p) if exp.theta == 0.0 else 0.0
         delta = None if table else _rounding_margin(abs_vals.size, weights, p, extent,
                                                     scale_base)
-        plan = None if delta is None else _prune(ladder, zero_limit, delta,
-                                                 grid.relative_tolerance)
+        plan = None if delta is None else _prune(ladder, zero_limit, delta, tol)
         if plan is None:
-            ladder.evaluate(range(len(ladder.eps)))
-            profile = _sup_over_grid(g, grid, zero_limit, ladder.vals, batch)
-        else:
-            probes = []
-            for k in plan:
-                _polish(g, grid, k, batch, probes)
-            points = [(e, v) for e, v in zip(ladder.eps, ladder.vals) if v is not None]
-            profile = _profile(points, probes, zero_limit)
+            ladder.fill()
+            plan = ladder.peaks()
+        probes = []
+        for k in plan:
+            _polish(ladder.at, ladder.eps, k, tol, probes)
+        points = [(e, v) for e, v in zip(ladder.eps, ladder.vals) if v is not None]
+        profile = _profile(points, probes, zero_limit)
     if profile.sup_value == math.inf:
         at = next(e for e, v in profile.entries if v == math.inf)
         raise ValueError(f"the weighted norm eps^(theta/(p-eps)) * ||f||_(p-eps) "

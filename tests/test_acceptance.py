@@ -100,8 +100,8 @@ def test_03_closure_criterion_vanishing_tail():
         if not (rep.applicable and rep.in_closure and rep.limit_estimate < 1e-4):
             bad += 1
             continue
-        prof = epsilon_profile(f, e, grid)
-        tail = [prof.value_at(float(eps)) for eps in grid.eps_values[:5]]
+        values = dict(epsilon_profile(f, e, grid).entries)
+        tail = [values[float(eps)] for eps in grid.eps_values[:5]]
         if not all(a < b for a, b in zip(tail, tail[1:])):
             bad += 1
     _verdict("closure criterion tail vanishes (theta=1, tol 1e-4)",

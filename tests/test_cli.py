@@ -354,6 +354,21 @@ def test_exponent_weight_out_of_float_range_is_an_input_error(workdir, tmp_path,
     assert "theta" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("norm", "p", 1e16), ("amalgam", "p", 1e300), ("equivalence", "q", 1e300),
+])
+def test_a_p_too_large_for_an_exact_p_minus_one_is_an_input_error(workdir, tmp_path, command,
+                                                                 key, value):
+    # p - 1 rounds to p here, so the top of the epsilon ladder would be r = 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"exponents": {key: value}}))
+    code, out, err = run_cli("--config", str(cfg), command, "--f", str(workdir[0] / "f.csv"))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "is too large: p - 1 is not exact" in json.loads(err)["error"]
+
+
 @pytest.mark.parametrize("command", ["witness", "bupu-validate"])
 def test_format_is_offered_only_beside_a_function_file(command):
     code, out, _ = run_cli(command, "--format", "csv")

@@ -6,6 +6,13 @@ layout of a report shows up here. After a deliberate report change,
 regenerate the corpus from the repository root with
 
     PYTHONPATH=src python tests/test_golden.py
+
+The bytes hold on the host that made them: numpy 2.4.6 dispatching its
+AVX-512 loops and OpenBLAS 0.3.31 running its SkylakeX kernel, on x86-64.
+Other SIMD or BLAS kernels move the last digits of some reports (no exit
+code or verdict): NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"
+moves 6 of the 17, and OPENBLAS_CORETYPE=Haswell, Sandybridge or Prescott
+moves 8, 9 or 9. Regenerate on a new host before comparing.
 """
 
 import json

@@ -151,7 +151,7 @@ def test_profile_sup_equals_norm_exactly():
     prof = epsilon_profile(f, e, grid)
     assert prof.sup_value == grand_norm(f, e, grid)
     assert max(v for _, v in prof.entries) == prof.sup_value
-    assert prof.value_at(prof.argmax_eps) == prof.sup_value
+    assert dict(prof.entries)[prof.argmax_eps] == prof.sup_value
 
 
 def test_profile_contains_grid_and_zero_entry():
@@ -164,9 +164,8 @@ def test_profile_contains_grid_and_zero_entry():
     for eps in grid.eps_values:
         assert float(eps) in eps_seen
     assert 0.0 in eps_seen
-    assert prof.value_at(0.0) == 0.0     # theta > 0 boundary candidate
-    with pytest.raises(KeyError):
-        prof.value_at(0.123456)
+    assert dict(prof.entries)[0.0] == 0.0     # theta > 0 boundary candidate
+    assert 0.123456 not in eps_seen
 
 
 def test_profile_values_vanish_towards_zero():
@@ -178,6 +177,32 @@ def test_profile_values_vanish_towards_zero():
     prof = epsilon_profile(f, e, grid)
     small = [v for eps, v in prof.entries if eps > 0.0][:5]
     assert all(a < b for a, b in zip(small, small[1:]))
+
+
+def test_the_full_table_polishes_a_secondary_hump():
+    # seed 0 is the first hit of a seeded search (seeds 0, 1, ...; 2-4 atoms
+    # with weights 10^U(-3, 3) and values 10^U(-4, 4), then p from
+    # {1.5, 2, 3, 5} and theta from {0, 0.1, 0.5, 1, 3}, drawn in that order)
+    # for a 64-point table with two local maxima at least 6 points apart;
+    # it drew p = 3, theta = 0.5, and the best maximum is at index 55, the
+    # second, 0.72 of it, at the top
+    rng = np.random.default_rng(0)
+    n = int(rng.integers(2, 5))
+    weights = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    f = SampledFunction(MeasureSpace(weights, INTERVAL), 10.0 ** rng.uniform(-4.0, 4.0, n))
+    e = GrandExponent(3.0, 0.5)
+    eps = _grid(3.0, 0.5).eps_values.tolist()
+    prof = epsilon_profile(f, e)
+    table = dict(prof.entries)
+    vals = [table[x] for x in eps]
+    local = [k for k in range(64)
+             if (k == 0 or vals[k] >= vals[k - 1]) and (k == 63 or vals[k] >= vals[k + 1])]
+    assert local == [55, 63]
+    grid_eps = set(eps)
+    probes = [x for x in table if x not in grid_eps and x > 0.0]
+    for k in local:
+        lo, hi = eps[k - 1], eps[min(k + 1, 63)]
+        assert sum(lo < x < hi for x in probes) >= 2, k
 
 
 def test_closure_criterion_theta_positive():
@@ -240,11 +265,15 @@ def test_embedding_constants_reject_an_underflowing_weight():
         embedding_constants(GrandExponent(2.0, 700.0), 1e-6, MeasureSpace.cyclic(4))
 
 
-@pytest.mark.parametrize("p, theta", [(3.0, 1100.0), (1.5, 2000.0), (1e300, 3.0)])
+@pytest.mark.parametrize("p, theta", [(3.0, 1100.0), (1.5, 2000.0), (1e300, 3.0),
+                                      (1e16, 0.0)])
 def test_exponent_weight_must_stay_in_float_range(p, theta):
+    # at p = 1e16, p - 1 rounds to p, and the ladder's top r = p - (p - 1) to 0
     with pytest.raises(ValueError) as err:
         GrandExponent(p, theta)
-    assert f"theta (={theta})" in str(err.value) and f"p (={p})" in str(err.value)
+    assert f"p (={p})" in str(err.value)
+    if theta:
+        assert f"theta (={theta})" in str(err.value)
 
 
 def test_p_two_takes_any_theta():
