@@ -302,13 +302,14 @@ class GrandExponent:
 
 
 def _extent(abs_vals, weights):
-    """(max a, log2 of it, log2 of the total weight) for ``_weighted_r_norm``.
+    """(max a, log2 of it, log2 of the total weight, the total weight) for ``_weighted_r_norm``.
 
     Callers read it once per input and pass it to every r-norm of that input.
     """
     top = float(np.max(abs_vals))
     log2_top = math.log2(top) if top > 0.0 else -math.inf
-    return top, log2_top, math.log2(float(np.sum(weights)))
+    mass = float(np.sum(weights))
+    return top, log2_top, math.log2(mass), mass
 
 
 def _weighted_r_norm(abs_vals, weights, r, extent):
@@ -319,7 +320,12 @@ def _weighted_r_norm(abs_vals, weights, r, extent):
     underflows while some a_i is nonzero), the sum is taken again over
     a / 2^k with max a in [2^k, 2^(k+1)). Dividing by a power of two is
     exact, and homogeneity gives 2^k times the rescaled norm. Every sum
-    that stays in range keeps its bits.
+    that stays in range keeps its bits. For a huge r, (max a / 2^k)^r in
+    [1, 2^r) may overflow still (r above about 7 * 10^4 when max a is not
+    a power of two); then the sum is taken a third time, over a / max a,
+    whose largest term is exactly 1. Each quotient rounds by at most u, so
+    each term moves by a factor within (1 +- u)^r and the norm by one
+    within (1 +- u).
 
     The plain pass is skipped only when it must fail: when top^r
     overflows (r * log2(top) >= 1025, a binade past 2^1024), or when the
@@ -328,7 +334,7 @@ def _weighted_r_norm(abs_vals, weights, r, extent):
     first, so no value changes; the skip spares the slow libm path of
     powers that leave float range.
     """
-    top, log2_top, log2_mass = extent
+    top, log2_top, log2_mass, _ = extent
     r_log2_top = r * log2_top
     if r_log2_top < 1025.0 and log2_mass + r_log2_top >= -1024.0:
         s = float(np.dot(weights, abs_vals ** r))
@@ -338,6 +344,12 @@ def _weighted_r_norm(abs_vals, weights, r, extent):
         return 0.0
     scale = math.ldexp(1.0, math.frexp(top)[1] - 1)
     s = float(np.dot(weights, (abs_vals / scale) ** r))
+    if s == math.inf:
+        # (top / 2^k)^r may still overflow when r is huge: divide by top
+        # itself, so the largest term is exactly 1 and the sum at most the
+        # total weight
+        scale = top
+        s = float(np.dot(weights, (abs_vals / top) ** r))
     return scale * s ** (1.0 / r)
 
 

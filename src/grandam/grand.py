@@ -15,24 +15,26 @@ by amalgam discretization and, through the constant function, the upper
 embedding constant all run through ``_norm_sup``, the one evaluation path.
 
 Every supremum is pruned except the one ``epsilon_profile`` (so the
-``profile`` CLI) takes, whose entries are a report: a certified upper
-bound on the weighted norm between evaluated points leaves out the grid
-points, and the polish at the top of the ladder, that cannot win, so the
-value is the float the full table gives. ``submultiplicativity_check``
-takes the pruned suprema and then evaluates the grid points they left
-out, for its per-eps table. On 2^16 uniform atoms with the default
-64-point grid the full table takes 106-108 r-norm evaluations; pruned,
-counting weights take 12-13 and probability weights 10 at theta = 0 and
-12 at theta > 0, where the maximum sits at the top of the ladder and a
-bound cut into pieces proves that no polish probe can beat it.
-``_norm_sup`` holds the proof.
+``profile`` CLI) takes, whose entries are a report: certified upper
+bounds on the weighted norm leave out the grid points, and the polish at
+the top of the ladder, that cannot win, so the value is the float the
+full table gives. Pruning starts from the top of the ladder: the top
+grid point sets a floor, and a bound from max |f| and the total weight,
+which costs no r-norm, drops the low ladder under it.
+``submultiplicativity_check`` takes the pruned suprema and then
+evaluates the grid points they left out, for its per-eps table. On 2^16
+uniform atoms with the default 64-point grid the full table takes
+106-108 r-norm evaluations; pruned, counting weights take 2-3 and
+probability weights 3 at theta = 0 and 3-6 at theta > 0, where the
+maximum sits at the top of the ladder and a bound cut into pieces proves
+that no polish probe can beat it. ``_norm_sup`` holds the proof.
 
 Inputs of at least 2^14 atoms (``_LANE_MIN_ATOMS``), in a process allowed
 on two or more CPUs, have their ladder batches evaluated on two lanes: the
-calling thread and one worker thread share the first pass, each round's
-midpoints and the full table, each taking the next grid point neither has
-taken. Polish probes, each placed by the one before, run on the calling
-thread. The crossover, with one BLAS thread on two CPUs, lies between
+calling thread and one worker thread share each pruning round's
+midpoints and the full table, each taking the next grid point neither
+has taken. Polish probes, each placed by the one before, run on the
+calling thread. The crossover, with one BLAS thread on two CPUs, lies between
 2^11 and 2^12 atoms; 2^14 leaves room for slower thread hand-offs, and
 every smaller input runs on the calling thread alone. A profile has
 the same bits on either path for a given BLAS setting. The bits of any
@@ -57,7 +59,6 @@ from .core import (_TINY, MeasureSpace, SampledFunction, _extent, _weighted_r_no
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEPS = 200   # step cap of each golden-section polish
 _LANE_MIN_ATOMS = 2 ** 14   # inputs this large are evaluated on two lanes
-_FIRST_STRIDE = 8   # pruning's first pass: both ends and every 8th grid point
 _TOP_PIECES = 48   # most pieces of a top-end certificate
 _U = 2.0 ** -53   # unit roundoff
 _SLACK = 2.0 ** -40   # eta of the pruning bound, and the fixed part of its delta
@@ -206,7 +207,7 @@ def _rounding_margin(size, weights, p, extent, scale_base):
 
     See ``_norm_sup`` for the derivation.
     """
-    top, log2_top, _ = extent
+    top, log2_top = extent[:2]
     w_lo, w_hi = float(weights.min()), float(weights.max())
     if not (top * min(w_lo, 1.0) >= _TINY and _TINY <= scale_base < math.inf):
         return None
@@ -225,13 +226,16 @@ class _Ladder:
     ||f||_(r_i), ``lift[i]`` is eps_i^(theta/r_i), ``mass[i]`` is
     scale_base^(1/r_i) and ``vals[i]`` is their product, the weighted
     norm (``weigh``, which polish probes go through too). Entries not
-    evaluated are None.
+    evaluated are None. ``extent`` is ``core._extent`` of the input; a
+    ladder without one has no ``free_bound``.
     """
 
-    def __init__(self, grid, exp, scale_base, r_norm, lanes):
+    def __init__(self, grid, exp, scale_base, r_norm, lanes, extent=None):
         self.eps = grid.eps_values.tolist()
         self.p, self.theta, self.scale_base = exp.p, exp.theta, scale_base
         self.r_norm, self.lanes = r_norm, lanes
+        # max |f| and the total weight (``core._extent``) for ``free_bound``
+        self.top, self.total = (extent[0], extent[3]) if extent else (0.0, 0.0)
         n = len(self.eps)
         self.norms, self.lift, self.mass, self.vals = ([None] * n for _ in range(4))
 
@@ -281,6 +285,19 @@ class _Ladder:
         p, base = self.p, self.scale_base
         return ((c ** (self.theta / (p - c)) + _ABS)
                 * max(base ** (1.0 / (p - a)), base ** (1.0 / (p - c))) * norm + _ABS)
+
+    def free_bound(self, k):
+        """Bound on the weighted norm over [eps_0, eps_k], from max |f| and the total weight.
+
+        ||f||_r <= top * (total weight)^(1/r), so no r-norm is evaluated; inf
+        for a ladder built without an extent, or with a total weight below the
+        normal range. See ``_norm_sup``.
+        """
+        a, c, p, total = self.eps[0], self.eps[k], self.p, self.total
+        if not total >= _TINY:
+            return math.inf
+        return self.piece_bound(a, c, self.top * max(total ** (1.0 / (p - a)),
+                                                     total ** (1.0 / (p - c))))
 
     def top_end_bound(self, i, tol, floor):
         """Bound on the weighted norm over [eps_i, b], i below the top index.
@@ -358,7 +375,20 @@ def _prune(ladder, zero_limit, delta, tol):
     n = len(vals)
     if not math.isfinite(zero_limit):
         return None
-    done = list(range(0, n - 1, _FIRST_STRIDE)) + [n - 1]
+    ladder.evaluate([n - 1])
+    if not math.isfinite(vals[-1]):
+        return None
+    # the free bound drops [eps_0, eps_k] for the largest k below the top it
+    # keeps under the floor (k = -1: none); it grows with k, so bisect
+    floor = max(vals[-1], zero_limit) * (1.0 - delta)
+    k, above = -1, n - 1
+    while above - k > 1:
+        mid = (k + above) // 2
+        if ladder.free_bound(mid) * (1.0 + _SLACK) < floor:
+            k = mid
+        else:
+            above = mid
+    done = sorted({max(k, 0), n - 1})
     new = ladder.evaluate(done)
     bounds = {}
     while True:
@@ -427,11 +457,18 @@ def _norm_sup(abs_vals, weights, exp, grid, scale_base=1.0, table=False):
     point is evaluated and the plan is the table's two best local maxima,
     so a secondary hump cannot be silently dropped.
 
-    Pruning. The first pass evaluates both ends of the ladder, every 8th
-    grid point and the eps -> 0 value. Each round then bounds the weighted
-    norm on every gap between neighbouring evaluated points, and evaluates
-    the middle grid point of each gap whose bound can still reach the best
-    value found. A gap is dropped when bound * (1 + eta) < best * (1 - delta).
+    Pruning. The first pass evaluates the top grid point and, at theta = 0,
+    the eps -> 0 value; the larger sets the floor, best * (1 - delta). The
+    free bound (below) on [eps_0, eps_k] grows with k, so at most six
+    bisection steps on the default grid find the largest k below the top
+    index whose free bound * (1 + eta) stays under the floor (a k is kept
+    only when its own computed bound passed, so the proof does not need the
+    computed bounds to be monotone). Every grid point in [eps_0, eps_k] is
+    dropped without an r-norm, and the pass evaluates point max(k, 0).
+    Each round then bounds the weighted norm on every gap between
+    neighbouring evaluated points, and evaluates the middle grid point of
+    each gap whose bound can still reach the best value found. A gap is
+    dropped when bound * (1 + eta) < best * (1 - delta).
     The bound on [eps_i, eps_j] is the product of three bounds:
 
     - eps^(theta/(p-eps)) rises with eps on (0, p-1], since the derivative
@@ -446,11 +483,29 @@ def _norm_sup(abs_vals, weights, exp, grid, scale_base=1.0, table=False):
       fl(p - eps) is monotone in eps, so every point of the gap is
       evaluated at an r in [r_j, r_i].
 
-    After the rounds, every point not evaluated lies in a dropped gap and
-    is below the best value, so the grid's best point (the first to reach
-    the grid maximum) is the one the full table polishes first. Its
-    bracket is polished exactly as in the full table, unless it lies at an
-    end of the ladder and a bound proves no probe can win. Every other
+    The free bound (``_Ladder.free_bound``) on [eps_0, eps_k] takes the
+    same first two factors and replaces the third by one that needs no
+    r-norm: with top = max |f| and W the total weight,
+    sum_i w_i a_i^r <= top^r W, so ||f||_r <= top W^(1/r). W^(1/r) is
+    monotone in 1/r, so over the exponents fl(p - eps) of the region, which
+    lie between fl(p - eps_k) and fl(p - eps_0), it is at most the larger
+    of its two end values. Its rounding fits in rho (below): W is the
+    computed sum of the weights (``core._extent``), within gamma_n of the
+    exact sum since its terms are nonnegative, and with 1/r <= 1 the power
+    moves that by no more; the power itself and the rounding of 1/r add at
+    most 16 u + 2u |ln W| <= 1436 u, part of the rest below 2^-40. So the
+    computed free bound is at least the exact one times 1 - rho, as a
+    Lyapunov bound from computed norms is, and delta = 3 rho covers both.
+    A W below the normal range, where W^(1/r) may be subnormal and lose
+    its relative accuracy, gives no free bound. The dropped region counts
+    as the left gap of point k.
+
+    After the rounds, every point not evaluated lies in a dropped gap or in
+    the region the free bound dropped, and is below the best value, so the
+    grid's best point (the first to reach the grid maximum) is the one the
+    full table polishes first. Its bracket is polished exactly as in the
+    full table, unless it lies at an end of the ladder and a bound proves
+    no probe can win. Every other
     point that may be a local maximum (no evaluated neighbour above it)
     must have both gaps beside it dropped, or pruning is off for the call:
     the full table polishes its second-best local maximum too. Pruning is
@@ -518,13 +573,15 @@ def _norm_sup(abs_vals, weights, exp, grid, scale_base=1.0, table=False):
     - the dot product of n nonnegative terms: gamma_n = n u / (1 - n u);
     - terms below the normal range add at most n (w_max (p/2 + 16) + 1)
       2^-1074 absolutely against a sum of at least
-      min(w_min, max(2^-1022, w_min min(top, top^p))), for the plain pass
-      and the rescaled one (whose division by a power of two rounds only
-      below the normal range);
+      min(w_min, max(2^-1022, w_min min(top, top^p))), for each pass of
+      the kernel (the second divides by a power of two, which rounds only
+      below the normal range; the third, whose largest term is 1, by top);
     - the rest, below 2^-40: the powers of the terms and of the root, the
       rounding of 1/r and theta/r, which moves x^e by at most
-      2u |ln x^e| <= 1420 u for either weight, 745 u for the root, and
-      three products.
+      2u |ln x^e| <= 1420 u for either weight, 745 u for the root, three
+      products, and in the third pass the quotients a / top, each within
+      u, which move each term by a factor within (1 +- u)^r and so the
+      norm by one within 1 +- u.
     The bounds are built from computed values too, so delta = 3 rho, which
     covers both sides; eta = 2^-40 covers the bound's own arithmetic, and
     an absolute 2^-1070 covers weights below the normal range. At 2^16
@@ -533,8 +590,8 @@ def _norm_sup(abs_vals, weights, exp, grid, scale_base=1.0, table=False):
     scale_base outside it, or rho >= 0.1.
 
     The ladder batches of a large input are evaluated on two lanes (see
-    the module docstring): the first pass, each round's midpoints and the
-    full table. Each r-norm is the same call on either lane, with the same
+    the module docstring): each round's midpoints and the full table. Each
+    r-norm is the same call on either lane, with the same
     bits; the polish runs on the calling thread.
     """
     p = exp.p
@@ -545,7 +602,7 @@ def _norm_sup(abs_vals, weights, exp, grid, scale_base=1.0, table=False):
         return _weighted_r_norm(abs_vals, weights, r, extent)
 
     lanes = abs_vals.size >= _LANE_MIN_ATOMS and _usable_cpus() >= 2
-    ladder = _Ladder(grid, exp, scale_base, r_norm, lanes)
+    ladder = _Ladder(grid, exp, scale_base, r_norm, lanes, extent)
     with np.errstate(over="ignore"):
         # for theta > 0, eps^(theta/(p-eps)) -> 0 while the norm stays bounded
         zero_limit = scale_base ** (1.0 / p) * r_norm(p) if exp.theta == 0.0 else 0.0

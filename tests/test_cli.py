@@ -354,6 +354,19 @@ def test_exponent_weight_out_of_float_range_is_an_input_error(workdir, tmp_path,
     assert "theta" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("p", [1e5, 1e12, 2.0 ** 53])
+def test_norm_at_a_huge_p_is_finite(workdir, tmp_path, p):
+    # the r-norms below the top of the ladder overflow after the power-of-two
+    # rescale here; the kernel's third pass keeps them finite
+    tmp, f, _ = workdir
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"exponents": {"p": p, "theta": 1}}))
+    code, out, err = run_cli("--config", str(cfg), "norm", "--f", str(tmp / "f.csv"))
+    assert code == 0, err
+    e = GrandExponent(p, 1.0)
+    assert json.loads(out)["result"]["value"] == grand_norm(f, e, make_epsilon_grid(e))
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("norm", "p", 1e16), ("amalgam", "p", 1e300), ("equivalence", "q", 1e300),
 ])

@@ -9,6 +9,7 @@ from grandam.core import (_TINY, COUNTING, CYCLIC, INTERVAL, EpsilonGrid,
 
 from grandam.amalgam import Bupu, Window, make_uniform_bupu, translate_window
 from grandam.convolution import noncompact_witness
+from grandam.grand import epsilon_profile, grand_norm
 
 from oracles import brute_negate, brute_translate
 
@@ -219,6 +220,24 @@ def test_r_norm_out_of_range_takes_no_plain_pass():
             a, wa = np.array([v]), np.array([w])
             got = _weighted_r_norm(a, wa, 2.0, _extent(a, wa))
             assert got == pytest.approx(v * math.sqrt(w), rel=1e-15)
+
+
+def test_r_norm_of_a_huge_exponent_is_finite():
+    # max |f| is not a power of two, so (max |f| / 2^k)^r overflows for r
+    # above about 7e4 and the third pass divides by max |f| itself; the
+    # oracle sums exp(r ln(a / max a)) instead of powers
+    f = SampledFunction(MeasureSpace.cyclic(16), np.random.default_rng(51).random(16))
+    a, w = f.abs_values(), f.space.weights
+    top = float(np.max(a))
+    for r in (7e4, 1e5, 1e8, 1e12, 2.0 ** 52):
+        s = math.fsum(float(wi) * math.exp(r * (math.log(ai) - math.log(top)))
+                      for wi, ai in zip(w, a))
+        want = top * s ** (1.0 / r)
+        assert lp_norm(f, r) == pytest.approx(want, rel=1e-14), r
+    e = GrandExponent(1e5, 1.0)
+    profile = epsilon_profile(f, e)
+    assert grand_norm(f, e) == profile.sup_value == e.eps_max * lp_norm(f, 1)
+    assert profile.argmax_eps == e.eps_max
 
 
 def test_lp_norm_rejects_sub_one():

@@ -1,11 +1,12 @@
 """Large inputs evaluated on two lanes give the bits of the sequential scan.
 
-``grand._norm_sup`` shares its ladder batches (the first pass, each
-round's midpoints and the full table) between the calling thread and one
-worker thread once an input has ``grand._LANE_MIN_ATOMS`` atoms; polish
-probes run on the calling thread. These tests force the lane path by
-patching the threshold and the CPU count, so they run the same on any
-host.
+``grand._norm_sup`` shares its ladder batches (each pruning round's
+midpoints and the full table) between the calling thread and one worker
+thread once an input has ``grand._LANE_MIN_ATOMS`` atoms; polish probes
+run on the calling thread. A pruned supremum of uniform data seldom has
+a batch of two, so the tests that need the worker go through the full
+table (``epsilon_profile``). They force the lane path by patching the
+threshold and the CPU count, so they run the same on any host.
 """
 
 import contextvars
@@ -118,7 +119,7 @@ def test_worker_keeps_the_callers_error_state(lanes):
     # the kernel must try and then rescale, on whichever lane takes it
     top = 2.0 ** (1024.5 / (e.p - grid.eps_values[-2]))
     for c in (1e160, top / float(np.max(base.abs_values()))):
-        value = grand.grand_norm(base.scaled(c), e, grid)
+        value = grand.epsilon_profile(base.scaled(c), e, grid).sup_value
         assert value == pytest.approx(c * grand.grand_norm(base, e, grid), rel=1e-12)
 
 
@@ -163,7 +164,7 @@ def test_concurrent_callers_share_one_worker(lanes, monkeypatch):
                           np.random.default_rng(seed).uniform(-1.0, 1.0, 256))
           for seed in range(4)]
     lanes(False)
-    want = [grand.grand_norm(f, e) for f in fs]
+    want = [grand.epsilon_profile(f, e) for f in fs]
     lanes(True)
     monkeypatch.setattr(grand, "_lane", None)
     before = set(threading.enumerate())
@@ -173,7 +174,7 @@ def test_concurrent_callers_share_one_worker(lanes, monkeypatch):
     def work(i):
         start.wait(timeout=60)
         for _ in range(5):
-            got[i].append(grand.grand_norm(fs[i], e))
+            got[i].append(grand.epsilon_profile(fs[i], e))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -209,11 +210,11 @@ def test_a_forked_child_gets_a_lane_of_its_own():
         f = ga.SampledFunction(ga.MeasureSpace.cyclic(n),
                                np.random.default_rng(3).uniform(-1.0, 1.0, n))
         e = ga.GrandExponent(2.0, 1.0)
-        want = ga.grand_norm(f, e)   # starts the parent's worker thread
+        want = ga.epsilon_profile(f, e)   # starts the parent's worker thread
         pid = os.fork()
         if pid == 0:
             signal.alarm(30)   # a child waiting on the parent's thread hangs
-            same = ga.grand_norm(f, e) == want
+            same = ga.epsilon_profile(f, e) == want
             own = any(t.name == "grandam-lane" for t in threading.enumerate())
             os._exit(0 if same and own else 1)
         _, status = os.waitpid(pid, 0)
@@ -237,11 +238,12 @@ def test_inputs_below_the_threshold_start_no_thread_and_import_nothing():
             for p, theta in ((2.0, 0.0), (2.5, 1.0)):
                 e = ga.GrandExponent(p, theta)
                 ga.grand_norm(f, e)
+                ga.epsilon_profile(f, e)
                 ga.lp_norm(f, p)
         small = {"threads": threading.active_count(),
                  "modules": sorted(set(sys.modules) - modules)}
         big = ga.SampledFunction(ga.MeasureSpace.cyclic(n + 1), np.ones(n + 1))
-        ga.grand_norm(big, ga.GrandExponent(2.0, 1.0))
+        ga.epsilon_profile(big, ga.GrandExponent(2.0, 1.0))
         print(json.dumps({"small": small, "threads_at_threshold": threading.active_count()}))
     """)
     assert out == {"small": {"threads": 1, "modules": []}, "threads_at_threshold": 2}

@@ -214,31 +214,59 @@ def test_counting_norms_sit_at_the_top_of_the_ladder(n, kind, p, theta, seed):
 
 @pytest.mark.parametrize("p, theta", [(2.0, 1.0), (1.5, 0.5), (3.0, 0.0), (2.5, 2.0)])
 def test_a_large_counting_norm_takes_few_r_norms(counted, p, theta):
+    # the free bound drops the ladder below the top's neighbour (at theta =
+    # 0 below one point more), and the certificate skips the top polish
     n = 2 ** 16
     u = SampledFunction(MeasureSpace.counting(n),
                         np.random.default_rng(16).uniform(-1.0, 1.0, n))
     e = GrandExponent(p, theta)
     value = grand_sequence_norm(u, e)
-    assert len(counted) <= 16
+    assert len(counted) <= 3
     counted.clear()
     assert value == epsilon_profile(u, e).sup_value
     assert len(counted) >= 106
 
 
-@pytest.mark.parametrize("p, theta", [(2.0, 1.0), (1.5, 0.5), (2.5, 2.0)])
+@pytest.mark.parametrize("p, theta", [(2.0, 1.0), (1.5, 0.5), (2.5, 2.0), (3.0, 0.0)])
 def test_a_large_probability_norm_takes_few_r_norms(counted, p, theta):
     # uniform data on probability weights peaks at the top of the ladder
-    # when theta > 0, and the piecewise certificate skips that polish
+    # when theta > 0, and the piecewise certificate skips that polish; at
+    # theta = 0 the eps -> 0 value wins, and the top point and one below
+    # it leave no gap that can reach it
     n = 2 ** 16
     f = SampledFunction(MeasureSpace.cyclic(n), np.random.default_rng(16).uniform(-1.0, 1.0, n))
     e = GrandExponent(p, theta)
     value = grand_norm(f, e)
-    assert len(counted) <= 16
+    assert len(counted) <= (6 if theta > 0.0 else 3)
     counted.clear()
     profile = epsilon_profile(f, e)
     assert value == profile.sup_value
-    assert profile.argmax_eps == e.eps_max
+    assert profile.argmax_eps == (e.eps_max if theta > 0.0 else 0.0)
     assert len(counted) >= 106
+
+
+@pytest.mark.parametrize("space, total", [("counting", 1000.0), ("cyclic", 1.0),
+                                          ("interval", 1e-3)])
+@pytest.mark.parametrize("p, theta", [(2.0, 0.0), (2.0, 1.0), (3.0, 1e-3), (1.5, 3.0)])
+def test_the_free_bound_covers_every_grid_point_below_it(space, total, p, theta):
+    # max |f| * (total weight)^(1/r) is exact for a constant f, so a bound
+    # that drops that factor, or takes it at the end of the region where it
+    # is smaller (the top end when total < 1, the bottom one when > 1),
+    # falls below the weighted norm at some grid point
+    n = 1000
+    weights = _space(space, n, n).weights
+    weights = weights * (total / float(np.sum(weights)))
+    e = GrandExponent(p, theta)
+    grid = make_epsilon_grid(e)
+    for kind in ("constant", "uniform", "one-spike"):
+        abs_vals = np.abs(_values(kind, n, n))
+        for scale_base in (0.25, 1.0, 3.0):
+            delta = grand._rounding_margin(n, weights, p, _extent(abs_vals, weights),
+                                           scale_base)
+            ladder = grand._norm_sup(abs_vals, weights, e, grid, scale_base, table=True)[1]
+            for k in range(len(ladder.eps)):
+                most = max(ladder.vals[:k + 1])
+                assert most <= ladder.free_bound(k) * (1.0 + delta), (kind, scale_base, k)
 
 
 def _weighted(abs_vals, weights, exp, scale_base):
