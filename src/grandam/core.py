@@ -11,10 +11,7 @@ The weighted r-norm kernel (``_weighted_r_norm``) raises |f| to the power
 r and takes one BLAS dot product with the weights. Over more than 10 000
 atoms that dot product is split between the BLAS threads, so its bits
 depend on the BLAS thread count (OPENBLAS_NUM_THREADS); for a given BLAS
-setting every norm is deterministic. ``grand`` spreads the ladder batches
-of an input of at least 2^14 atoms (the grid points it evaluates
-together) over two threads (two lanes); each r-norm is the same call on
-either thread, so the lanes keep these bits.
+setting every norm is deterministic.
 """
 
 import math

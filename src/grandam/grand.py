@@ -28,27 +28,9 @@ uniform atoms with the default 64-point grid the full table takes
 probability weights 3 at theta = 0 and 3-6 at theta > 0, where the
 maximum sits at the top of the ladder and a bound cut into pieces proves
 that no polish probe can beat it. ``_norm_sup`` holds the proof.
-
-Inputs of at least 2^14 atoms (``_LANE_MIN_ATOMS``), in a process allowed
-on two or more CPUs, have their ladder batches evaluated on two lanes: the
-calling thread and one worker thread share each pruning round's
-midpoints and the full table, each taking the next grid point neither
-has taken. Polish probes, each placed by the one before, run on the
-calling thread. The crossover, with one BLAS thread on two CPUs, lies between
-2^11 and 2^12 atoms; 2^14 leaves room for slower thread hand-offs, and
-every smaller input runs on the calling thread alone. A profile has
-the same bits on either path for a given BLAS setting. The bits of any
-r-norm over more than 10 000 atoms already depend on the BLAS thread
-count (OpenBLAS splits a longer dot product between its threads). With
-OpenBLAS's default threading its spinning workers occupy the second CPU,
-and the lanes give the same bits but no gain (0-20 % slower at 2^16
-atoms, measured); set OPENBLAS_NUM_THREADS=1 to let them pay.
 """
 
-import contextvars
 import math
-import os
-import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -58,84 +40,10 @@ from .core import (_TINY, MeasureSpace, SampledFunction, _extent, _weighted_r_no
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEPS = 200   # step cap of each golden-section polish
-_LANE_MIN_ATOMS = 2 ** 14   # inputs this large are evaluated on two lanes
 _TOP_PIECES = 48   # most pieces of a top-end certificate
 _U = 2.0 ** -53   # unit roundoff
 _SLACK = 2.0 ** -40   # eta of the pruning bound, and the fixed part of its delta
 _ABS = 2.0 ** -1070   # absolute slack for weights below the normal range
-_lane = None   # job queue of the one worker thread, started on first use
-_lane_lock = threading.Lock()
-
-
-def _reset_lane():
-    global _lane, _lane_lock
-    _lane, _lane_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    # a forked child has no worker thread, whatever the parent had
-    os.register_at_fork(after_in_child=_reset_lane)
-
-
-def _serve(jobs):
-    while True:
-        context, job, reply = jobs.get()
-        try:
-            context.run(job)
-        except BaseException as err:   # raised again by the caller
-            reply.put(err)
-        else:
-            reply.put(None)
-
-
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _on_two_lanes(fn, args):
-    """``[fn(a) for a in args]``, computed by the calling thread and the worker together.
-
-    Each lane takes the next item no lane has taken, so a worker slowed by
-    a busy CPU leaves more of the list to the caller instead of holding it
-    up; the caller waits only for an item the worker has taken. ``fn``
-    never returns None. The worker runs in a copy of the caller's context,
-    so numpy error states set by the caller hold there too.
-    """
-    global _lane
-    from queue import SimpleQueue   # loaded by the first large input only
-    with _lane_lock:
-        if _lane is None:
-            _lane = SimpleQueue()
-            threading.Thread(target=_serve, args=(_lane,), name="grandam-lane",
-                             daemon=True).start()
-        jobs = _lane
-    out = [None] * len(args)
-    order = iter(range(len(args)))
-    taking = threading.Lock()
-    # cleared once every item is in: a job the worker has not yet picked up
-    # (the caller took every item) must not keep the inputs alive
-    work = [fn, args]
-
-    def drain():
-        while True:
-            with taking:
-                i = next(order, None)
-            if i is None:
-                return
-            out[i] = work[0](work[1][i])
-
-    reply = SimpleQueue()
-    jobs.put((contextvars.copy_context(), drain, reply))
-    drain()
-    if None in out:   # an item is still on the worker, or failed there
-        err = reply.get()
-        if err is not None:
-            raise err
-    work.clear()
-    return out
 
 
 @dataclass(frozen=True)
@@ -177,11 +85,6 @@ def _golden_max(g, lo, hi, rel_tol, record):
             gc = g(c)
             record.append((c, gc))
         it += 1
-
-
-def _polish(g, eps, k, tol, record):
-    """Golden polish of the bracket around ladder index ``k``; probes land in ``record``."""
-    _golden_max(g, eps[max(k - 1, 0)], eps[min(k + 1, len(eps) - 1)], tol, record)
 
 
 def _profile(points, probes, zero_limit):
@@ -226,16 +129,15 @@ class _Ladder:
     ||f||_(r_i), ``lift[i]`` is eps_i^(theta/r_i), ``mass[i]`` is
     scale_base^(1/r_i) and ``vals[i]`` is their product, the weighted
     norm (``weigh``, which polish probes go through too). Entries not
-    evaluated are None. ``extent`` is ``core._extent`` of the input; a
-    ladder without one has no ``free_bound``.
+    evaluated are None. ``extent`` is ``core._extent`` of the input.
     """
 
-    def __init__(self, grid, exp, scale_base, r_norm, lanes, extent=None):
+    def __init__(self, grid, exp, scale_base, r_norm, extent):
         self.eps = grid.eps_values.tolist()
         self.p, self.theta, self.scale_base = exp.p, exp.theta, scale_base
-        self.r_norm, self.lanes = r_norm, lanes
+        self.r_norm = r_norm
         # max |f| and the total weight (``core._extent``) for ``free_bound``
-        self.top, self.total = (extent[0], extent[3]) if extent else (0.0, 0.0)
+        self.top, self.total = extent[0], extent[3]
         n = len(self.eps)
         self.norms, self.lift, self.mass, self.vals = ([None] * n for _ in range(4))
 
@@ -250,9 +152,7 @@ class _Ladder:
         eps, p, norms = self.eps, self.p, self.norms
         todo = [i for i in indices if norms[i] is None]
         rs = [p - eps[i] for i in todo]
-        got = (_on_two_lanes(self.r_norm, rs) if self.lanes and len(rs) > 1
-               else [self.r_norm(r) for r in rs])
-        for i, r, norm in zip(todo, rs, got):
+        for i, r, norm in zip(todo, rs, [self.r_norm(r) for r in rs]):
             norms[i] = norm
             self.lift[i], self.mass[i], self.vals[i] = self.weigh(eps[i], r, norm)
         return todo
@@ -290,8 +190,7 @@ class _Ladder:
         """Bound on the weighted norm over [eps_0, eps_k], from max |f| and the total weight.
 
         ||f||_r <= top * (total weight)^(1/r), so no r-norm is evaluated; inf
-        for a ladder built without an extent, or with a total weight below the
-        normal range. See ``_norm_sup``.
+        for a total weight below the normal range. See ``_norm_sup``.
         """
         a, c, p, total = self.eps[0], self.eps[k], self.p, self.total
         if not total >= _TINY:
@@ -588,11 +487,6 @@ def _norm_sup(abs_vals, weights, exp, grid, scale_base=1.0, table=False):
     atoms delta is about 2.5e-11. Pruning is off where the proof needs
     more: a top value times min(w_min, 1) below the normal range, a
     scale_base outside it, or rho >= 0.1.
-
-    The ladder batches of a large input are evaluated on two lanes (see
-    the module docstring): each round's midpoints and the full table. Each
-    r-norm is the same call on either lane, with the same
-    bits; the polish runs on the calling thread.
     """
     p = exp.p
     tol = grid.relative_tolerance
@@ -601,8 +495,7 @@ def _norm_sup(abs_vals, weights, exp, grid, scale_base=1.0, table=False):
     def r_norm(r):
         return _weighted_r_norm(abs_vals, weights, r, extent)
 
-    lanes = abs_vals.size >= _LANE_MIN_ATOMS and _usable_cpus() >= 2
-    ladder = _Ladder(grid, exp, scale_base, r_norm, lanes, extent)
+    ladder = _Ladder(grid, exp, scale_base, r_norm, extent)
     with np.errstate(over="ignore"):
         # for theta > 0, eps^(theta/(p-eps)) -> 0 while the norm stays bounded
         zero_limit = scale_base ** (1.0 / p) * r_norm(p) if exp.theta == 0.0 else 0.0
@@ -612,10 +505,12 @@ def _norm_sup(abs_vals, weights, exp, grid, scale_base=1.0, table=False):
         if plan is None:
             ladder.fill()
             plan = ladder.peaks()
+        eps = ladder.eps
         probes = []
         for k in plan:
-            _polish(ladder.at, ladder.eps, k, tol, probes)
-        points = [(e, v) for e, v in zip(ladder.eps, ladder.vals) if v is not None]
+            _golden_max(ladder.at, eps[max(k - 1, 0)], eps[min(k + 1, len(eps) - 1)], tol,
+                        probes)
+        points = [(e, v) for e, v in zip(eps, ladder.vals) if v is not None]
         profile = _profile(points, probes, zero_limit)
     if profile.sup_value == math.inf:
         at = next(e for e, v in profile.entries if v == math.inf)

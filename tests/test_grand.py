@@ -319,6 +319,22 @@ def test_homogeneity_near_float_limits(c, p, theta):
         assert lp_norm(f.scaled(c), p) == pytest.approx(c * lp_norm(f, p), rel=1e-12)
 
 
+def test_the_full_table_rescales_out_of_range_powers_without_a_warning():
+    # pytest turns RuntimeWarnings into errors. 1e160 leaves range for
+    # every r in [2, 3]; top ** (p - eps) with this top reaches 2^1024.5
+    # at the grid's second-highest eps, a point that the kernel must try
+    # and then rescale
+    n = 2 ** 16
+    e = GrandExponent(3.0, 0.0)
+    grid = _grid(3.0, 0.0)
+    base = SampledFunction(MeasureSpace.cyclic(n),
+                           np.random.default_rng(0).uniform(-1.0, 1.0, n))
+    top = 2.0 ** (1024.5 / (e.p - grid.eps_values[-2]))
+    for c in (1e160, top / float(np.max(base.abs_values()))):
+        value = epsilon_profile(base.scaled(c), e, grid).sup_value
+        assert value == pytest.approx(c * grand_norm(base, e, grid), rel=1e-12)
+
+
 def test_float_range_norms_of_the_large_fault_input_are_pinned():
     # norm-large's float-range operations: 65 536 atoms, p = 3, theta = 0.
     # A dot over more than 10 000 atoms has bits that depend on the BLAS

@@ -134,12 +134,8 @@ def test_discrete_space_norm_takes_the_full_tables_float(atom_weight, p, theta):
         assert got.hex() == table.sup_value.hex()
 
 
-@pytest.mark.parametrize("lanes_on", [False, True])
 @pytest.mark.parametrize("space", ["cyclic", "counting", "interval"])
-def test_lane_sized_pruned_supremum_is_the_full_tables_float(counted, monkeypatch, lanes_on,
-                                                             space):
-    monkeypatch.setattr(grand, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(grand, "_LANE_MIN_ATOMS", 1 if lanes_on else 2 ** 62)
+def test_a_2_14_atom_pruned_supremum_is_the_full_tables_float(counted, space):
     n = 2 ** 14
     sp = _space(space, n, n)
     for kind in ("uniform", "one-spike", "cauchy"):
@@ -382,7 +378,7 @@ def test_a_top_end_bound_within_rounding_of_the_best_keeps_the_polish(monkeypatc
     def plan():
         ladder = grand._Ladder(grid, e, 1.0,
                                lambda r: grand._weighted_r_norm(abs_vals, sp.weights, r, extent),
-                               False)
+                               extent)
         return grand._prune(ladder, 0.0, delta, grid.relative_tolerance), ladder
 
     skip, ladder = plan()
