@@ -134,17 +134,21 @@ def test_discrete_space_norm_takes_the_full_tables_float(atom_weight, p, theta):
         assert got.hex() == table.sup_value.hex()
 
 
+@pytest.mark.parametrize("scaled", [False, True])
 @pytest.mark.parametrize("space", ["cyclic", "counting", "interval"])
-def test_a_2_14_atom_pruned_supremum_is_the_full_tables_float(counted, space):
+def test_lane_sized_pruned_supremum_is_the_full_tables_float(counted, scaled, space):
+    # 2^14 atoms make a long ladder; ``scaled`` passes a window mass other
+    # than 1 as ``scale_base``, as the discrete translate-step norm does
     n = 2 ** 14
     sp = _space(space, n, n)
+    scale_base = 3.0 if scaled else 1.0
     for kind in ("uniform", "one-spike", "cauchy"):
         abs_vals = np.abs(_values(kind, n, n + 1))
         for p, theta in ((2.0, 0.0), (3.0, 1e-6), (1.5, 0.5), (2.5, 3.0)):
             e = GrandExponent(p, theta)
             grid = make_epsilon_grid(e)
             table, table_calls, pruned, pruned_calls = _both(counted, abs_vals, sp.weights, e,
-                                                             grid)
+                                                             grid, scale_base)
             assert pruned.sup_value.hex() == table.sup_value.hex(), (kind, p, theta)
             assert pruned_calls <= table_calls
 
