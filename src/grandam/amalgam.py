@@ -11,6 +11,7 @@ counts and covering numbers, so every ratio it prints can be checked
 against a bound computed for that exact instance.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -353,11 +354,11 @@ def step_function_from_coefficients(coeffs, window, family):
 def discrete_space_norm(lam, window, family, exp, grid=None):
     """Grand norm of the translate-step function sum_i |lam_i| chi_{U + x_i}.
 
-    For disjoint full translates the step function's r-norm factors as
-    mass(U)^(1/r) times the plain sequence r-norm, so the value is
-    computed through the shared engine with the window mass as scale
-    base. With mass(U) exactly 1 every floating point operation matches
-    ``grand_sequence_norm`` on the same grid, bit for bit.
+    For disjoint full translates the step function's r-norm is the r-norm
+    of the coefficients with every index weighing mass(U), so the shared
+    engine takes the window mass as every weight. With mass(U) exactly 1
+    those are the counting weights, and every floating point operation
+    matches ``grand_sequence_norm`` on the same grid, bit for bit.
     """
     if not lam.space.is_counting:
         raise ValueError("coefficients must live on a counting-measure index set")
@@ -365,9 +366,8 @@ def discrete_space_norm(lam, window, family, exp, grid=None):
         raise ValueError("need exactly one translate per coefficient")
     window.require_nonempty()
     _disjoint_full_translates(window, family)
-    grid = _resolve_grid(exp, grid)
-    return _norm_sup(lam.abs_values(), lam.space.weights, exp, grid,
-                     scale_base=window.mass)[0].sup_value
+    return _norm_sup(lam.abs_values(), np.full(len(family), window.mass), exp,
+                     _resolve_grid(exp, grid))[0].sup_value
 
 
 def discrete_space_bounds(window, exp):
@@ -514,7 +514,11 @@ def equivalence_report(f, qwindow, bupu, local_exp, global_exp,
     cover_count = _greedy_cover_count(q_translates, supports[0])
 
     q = global_exp.p
-    c_up = max((kappa ** (q - 1.0) * mu_diff) ** (1.0 / q), mu_diff)
+    if (q - 1.0) * math.log2(kappa) + math.log2(mu_diff) < 1023.0:
+        smeared = (kappa ** (q - 1.0) * mu_diff) ** (1.0 / q)
+    else:   # kappa^(q-1) leaves float range: take the q-th root factor by factor
+        smeared = kappa ** ((q - 1.0) / q) * mu_diff ** (1.0 / q)
+    c_up = max(smeared, mu_diff)
     inv_w = max(1.0 / w_atom, (1.0 / w_atom) ** (1.0 / q))
     c_low = 1.0 / (bupu.sup_bound * cover_count * inv_w)
     m_low, m_high = discrete_space_bounds(bupu.window, global_exp)

@@ -341,17 +341,16 @@ def main(argv=None):
         code, result = args.handler(args, config, seed)
         text = render_report({"schema_version": SCHEMA_VERSION, "command": args.command,
                               "result": result})
-    except (ValueError, OSError) as err:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (ValueError, OSError, MemoryError) as err:
         doc = {"schema_version": SCHEMA_VERSION, "command": args.command,
                "error": str(err)}
         sys.stderr.write(render_report(doc))
         return EXIT_INPUT
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

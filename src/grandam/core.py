@@ -322,7 +322,10 @@ def _weighted_r_norm(abs_vals, weights, r, extent):
     a power of two); then the sum is taken a third time, over a / max a,
     whose largest term is exactly 1. Each quotient rounds by at most u, so
     each term moves by a factor within (1 +- u)^r and the norm by one
-    within (1 +- u).
+    within (1 +- u). When the rescaled sum is still below the normal range
+    (so are the weights, in total below 1), it is taken once more over the
+    weights lifted by 2^shift, which puts their total in [1, 2); the lift
+    is exact, and 2^(-shift/r) undoes it, its integer part through ldexp.
 
     The plain pass is skipped only when it must fail: when top^r
     overflows (r * log2(top) >= 1025, a binade past 2^1024), or when the
@@ -347,6 +350,12 @@ def _weighted_r_norm(abs_vals, weights, r, extent):
         # total weight
         scale = top
         s = float(np.dot(weights, (abs_vals / top) ** r))
+    if s < _TINY and extent[3] < 1.0:
+        shift = 1 - math.frexp(extent[3])[1]
+        s = float(np.dot(np.ldexp(weights, shift), (abs_vals / scale) ** r))
+        whole, part = divmod(shift, r)
+        mantissa, exponent = math.frexp(scale)
+        return math.ldexp(mantissa * s ** (1.0 / r) * 2.0 ** (-part / r), exponent - int(whole))
     return scale * s ** (1.0 / r)
 
 

@@ -105,14 +105,14 @@ def _probe_gap(lo, hi, tol):
     return gap - 16.0 * _U * hi if gap >= 2.0 ** -48 * hi else None
 
 
-def _rounding_margin(size, weights, p, extent, scale_base):
+def _rounding_margin(size, weights, p, extent):
     """delta of ``_prune``, or None where its proof does not apply.
 
     See ``_norm_sup`` for the derivation.
     """
     top, log2_top = extent[:2]
     w_lo, w_hi = float(weights.min()), float(weights.max())
-    if not (top * min(w_lo, 1.0) >= _TINY and _TINY <= scale_base < math.inf):
+    if not top * min(w_lo, 1.0) >= _TINY:
         return None
     log2_lo = math.log2(w_lo)
     log2_sum = min(log2_lo, max(-1022.0, log2_lo + min(log2_top, p * log2_top)))
@@ -126,20 +126,19 @@ class _Ladder:
     """The grid points of one supremum, evaluated on demand.
 
     At an evaluated index i, with r_i = p - eps_i: ``norms[i]`` is
-    ||f||_(r_i), ``lift[i]`` is eps_i^(theta/r_i), ``mass[i]`` is
-    scale_base^(1/r_i) and ``vals[i]`` is their product, the weighted
-    norm (``weigh``, which polish probes go through too). Entries not
-    evaluated are None. ``extent`` is ``core._extent`` of the input.
+    ||f||_(r_i) under the weights, which carry any mass (a window's), and
+    ``vals[i]`` is eps_i^(theta/r_i) times it, the weighted norm (``weigh``,
+    which polish probes go through too). Entries not evaluated are None.
+    ``extent`` is ``core._extent`` of the input.
     """
 
-    def __init__(self, grid, exp, scale_base, r_norm, extent):
+    def __init__(self, grid, exp, r_norm, extent):
         self.eps = grid.eps_values.tolist()
-        self.p, self.theta, self.scale_base = exp.p, exp.theta, scale_base
+        self.p, self.theta = exp.p, exp.theta
         self.r_norm = r_norm
         # max |f| and the total weight (``core._extent``) for ``free_bound``
         self.top, self.total = extent[0], extent[3]
-        n = len(self.eps)
-        self.norms, self.lift, self.mass, self.vals = ([None] * n for _ in range(4))
+        self.norms, self.vals = [None] * len(self.eps), [None] * len(self.eps)
 
     def fill(self):
         """Evaluate every grid point not yet evaluated; returns ``norms``."""
@@ -151,22 +150,18 @@ class _Ladder:
         """Evaluate the grid points at ``indices`` not yet evaluated; returns those."""
         eps, p, norms = self.eps, self.p, self.norms
         todo = [i for i in indices if norms[i] is None]
-        rs = [p - eps[i] for i in todo]
-        for i, r, norm in zip(todo, rs, [self.r_norm(r) for r in rs]):
-            norms[i] = norm
-            self.lift[i], self.mass[i], self.vals[i] = self.weigh(eps[i], r, norm)
+        for i in todo:
+            norms[i] = self.r_norm(p - eps[i])
+            self.vals[i] = self.weigh(eps[i], norms[i])
         return todo
 
-    def weigh(self, e, r, norm):
-        """(eps^(theta/r), scale_base^(1/r), their product with ``norm``) at eps = e, r = p - e."""
-        lift = e ** (self.theta / r)
-        mass = self.scale_base ** (1.0 / r)
-        return lift, mass, lift * mass * norm
+    def weigh(self, e, norm):
+        """eps^(theta/(p-eps)) * ``norm`` at eps = e."""
+        return e ** (self.theta / (self.p - e)) * norm
 
     def at(self, e):
         """The weighted norm at any eps = e, evaluated afresh and not kept."""
-        r = self.p - e
-        return self.weigh(e, r, self.r_norm(r))[2]
+        return self.weigh(e, self.r_norm(self.p - e))
 
     def peaks(self):
         """The full table's two best local maxima, best first (ties: the lower eps)."""
@@ -177,14 +172,11 @@ class _Ladder:
 
     def gap_bound(self, i, j):
         """Bound on the weighted norm over [eps_i, eps_j]; both ends evaluated, i < j."""
-        return ((self.lift[j] + _ABS) * max(self.mass[i], self.mass[j])
-                * max(self.norms[i], self.norms[j]) + _ABS)
+        return self.piece_bound(self.eps[j], max(self.norms[i], self.norms[j]))
 
-    def piece_bound(self, a, c, norm):
-        """Bound on the weighted norm over [a, c], given a bound ``norm`` on ||f|| there."""
-        p, base = self.p, self.scale_base
-        return ((c ** (self.theta / (p - c)) + _ABS)
-                * max(base ** (1.0 / (p - a)), base ** (1.0 / (p - c))) * norm + _ABS)
+    def piece_bound(self, c, norm):
+        """Bound on the weighted norm where eps <= c and ||f|| (mass included) <= ``norm``."""
+        return (c ** (self.theta / (self.p - c)) + _ABS) * norm + _ABS
 
     def free_bound(self, k):
         """Bound on the weighted norm over [eps_0, eps_k], from max |f| and the total weight.
@@ -195,8 +187,8 @@ class _Ladder:
         a, c, p, total = self.eps[0], self.eps[k], self.p, self.total
         if not total >= _TINY:
             return math.inf
-        return self.piece_bound(a, c, self.top * max(total ** (1.0 / (p - a)),
-                                                     total ** (1.0 / (p - c))))
+        return self.piece_bound(c, self.top * max(total ** (1.0 / (p - a)),
+                                                  total ** (1.0 / (p - c))))
 
     def top_end_bound(self, i, tol, floor):
         """Bound on the weighted norm over [eps_i, b], i below the top index.
@@ -225,36 +217,34 @@ class _Ladder:
         log_i, log_j = (math.log(n_i), math.log(n_j)) if n_i > 0.0 < n_j else (0.0, 0.0)
         spread = abs(log_i - log_j) - 4.0 * _U * (abs(log_i) + abs(log_j) + 1.0)
         if not (d > 2.0 ** -30 and spread > 0.0):
-            return self.piece_bound(eps[i], b, max(n_i, n_j))
+            return self.piece_bound(b, max(n_i, n_j))
         if n_i < n_j:
             # rising towards the top: one piece, with the norm bound at b
             t = (1.0 / (p - b) - q_i) / d + 8.0 * _U / d + 8.0 * _U
             norm = n_j * math.exp(-((1.0 - t) - 2.0 * _U) * spread) if t < 1.0 else n_j
-            return self.piece_bound(eps[i], b, norm)
+            return self.piece_bound(b, norm)
 
         # falling towards the top: on a piece [a, c] the norm bound is taken at
-        # a and the eps factors at c. In logs those factors are h(c) below, and
-        # the next c solves h(c) = ln(floor / norm) - (the scale_base factor
-        # fixed by a) along the steeper of the secant of h over [a, b] and its
-        # tangent at a; the piece's bound is then computed, and decides.
-        log_base = math.log(self.scale_base)
-        up, down = max(log_base, 0.0), min(log_base, 0.0)
-        h_b = (theta * math.log(b) + up) / (p - b)
+        # a and the epsilon weight at c. In logs that weight is h(c) below, and
+        # the next c solves h(c) = ln(floor / norm) along the steeper of the
+        # secant of h over [a, b] and its tangent at a; the piece's bound is
+        # then computed, and decides.
+        h_b = theta * math.log(b) / (p - b)
         a, worst = eps[i], -math.inf
         for left in reversed(range(_TOP_PIECES)):
             t = (1.0 / (p - a) - q_i) / d - 8.0 * _U / d - 8.0 * _U
             norm = n_i * math.exp(-t * spread) if t > 0.0 else n_i
-            goal = math.log(floor / norm) - down / (p - a) - 2.0 * _SLACK
+            goal = math.log(floor / norm) - 2.0 * _SLACK
             log_a = math.log(a)
-            h_a = (theta * log_a + up) / (p - a)
+            h_a = theta * log_a / (p - a)
             if h_b <= goal:
                 c = b
             elif not h_a < goal:
                 c = a
             else:
-                slope_a = (theta * ((p - a) / a + log_a) + up) / (p - a) ** 2
+                slope_a = theta * ((p - a) / a + log_a) / (p - a) ** 2
                 c = a + (goal - h_a) * min((b - a) / (h_b - h_a), 1.0 / slope_a)
-            bound = self.piece_bound(a, c, norm)
+            bound = self.piece_bound(c, norm)
             worst = max(worst, bound)
             if not bound * (1.0 + _SLACK) < floor or c >= b:
                 return worst
@@ -330,15 +320,13 @@ def _prune(ladder, zero_limit, delta, tol):
     return plan
 
 
-def _norm_sup(abs_vals, weights, exp, grid, scale_base=1.0, table=False):
+def _norm_sup(abs_vals, weights, exp, grid, table=False):
     """Engine shared by every grand-type norm.
 
-    Takes the supremum of  eps^(theta/(p-eps)) * scale_base^(1/(p-eps)) * ||.||_{p-eps}
-    over the grid, the polish probes and, for theta = 0, the eps -> 0
-    value scale_base^(1/p) * ||.||_p. ``scale_base`` = 1 gives the plain
-    grand norm; the discrete translate-step norm passes the window mass
-    instead, making the two code paths bit-identical whenever that mass is
-    exactly 1.
+    Takes the supremum of  eps^(theta/(p-eps)) * ||.||_{p-eps}  over the
+    grid, the polish probes and, for theta = 0, the eps -> 0 value
+    ||.||_p, where ||.||_r is the r-norm under ``weights``. The discrete
+    translate-step norm passes the window mass as every weight.
 
     Returns the profile and the ``_Ladder``: its ``norms`` are the plain
     norms ||.||_{p-eps} at the grid points, in grid order (None at a point
@@ -368,13 +356,12 @@ def _norm_sup(abs_vals, weights, exp, grid, scale_base=1.0, table=False):
     neighbouring evaluated points, and evaluates the middle grid point of
     each gap whose bound can still reach the best value found. A gap is
     dropped when bound * (1 + eta) < best * (1 - delta).
-    The bound on [eps_i, eps_j] is the product of three bounds:
+    The bound on [eps_i, eps_j] is the product of two bounds:
 
     - eps^(theta/(p-eps)) rises with eps on (0, p-1], since the derivative
       of its logarithm is theta/r^2 * (r/eps + ln eps) with r = p - eps, and
       r/eps + ln eps, which falls in eps, is 1/(p-1) + ln(p-1) >= 1 at
       eps = p - 1. So it is at most its value at eps_j.
-    - scale_base^(1/(p-eps)) is monotone, so it is at most its larger end.
     - Lyapunov (Hoelder) interpolation: for 1/r = (1-t)/r_i + t/r_j with
       t in [0, 1], ||f||_r <= ||f||_(r_i)^(1-t) ||f||_(r_j)^t for any
       positive weights. The right side is log-linear in t, so it is at
@@ -383,7 +370,7 @@ def _norm_sup(abs_vals, weights, exp, grid, scale_base=1.0, table=False):
       evaluated at an r in [r_j, r_i].
 
     The free bound (``_Ladder.free_bound``) on [eps_0, eps_k] takes the
-    same first two factors and replaces the third by one that needs no
+    same first factor and replaces the second by one that needs no
     r-norm: with top = max |f| and W the total weight,
     sum_i w_i a_i^r <= top^r W, so ||f||_r <= top W^(1/r). W^(1/r) is
     monotone in 1/r, so over the exponents fl(p - eps) of the region, which
@@ -443,19 +430,18 @@ def _norm_sup(abs_vals, weights, exp, grid, scale_base=1.0, table=False):
 
     The certificate of a top-end bracket (``_Ladder.top_end_bound``)
     bounds the weighted norm on [eps_i, b] piece by piece. On a piece
-    [a, c] it takes the epsilon weight at c, the scale_base factor at its
-    larger end, and the interpolation bound n_i^(1-t) n_j^t at the end of
-    the piece where it is largest. t = (1/r - 1/r_i)/(1/r_j - 1/r_i)
-    rises with eps, and the kernel's exponent at every point of [a, c]
-    lies in [fl(p - c), fl(p - a)]. So where n_i >= n_j (the norm falls
+    [a, c] it takes the epsilon weight at c and the interpolation bound
+    n_i^(1-t) n_j^t at the end of the piece where it is largest.
+    t = (1/r - 1/r_i)/(1/r_j - 1/r_i) rises with eps, and the kernel's
+    exponent at every point of [a, c] lies in [fl(p - c), fl(p - a)]. So where n_i >= n_j (the norm falls
     towards the top) it is taken at a, with t and ln(n_i/n_j) rounded
     down, and the region is cut into pieces; where n_i < n_j it is taken
     at b, with t rounded up, and one piece covers the region. (1/r is at
     most 1 + 2u here, so each of t's three differences and two quotients
     is off by at most 3u/(1/r_j - 1/r_i) + u; 8u/(1/r_j - 1/r_i) + 8u
-    covers them.) Each piece bound is the three-factor bound above on a
+    covers them.) Each piece bound is the two-factor bound above on a
     piece of the gap, so the largest over the pieces bounds the region.
-    The next piece end solves, in logs, epsilon factors at c = floor /
+    The next piece end solves, in logs, epsilon weight at c = floor /
     (norm bound at a), along the steeper of the secant over [a, b] and the
     tangent at a; since the computed piece bound decides, that choice
     needs no proof. The cut stops at the first piece whose bound reaches
@@ -474,19 +460,21 @@ def _norm_sup(abs_vals, weights, exp, grid, scale_base=1.0, table=False):
       2^-1074 absolutely against a sum of at least
       min(w_min, max(2^-1022, w_min min(top, top^p))), for each pass of
       the kernel (the second divides by a power of two, which rounds only
-      below the normal range; the third, whose largest term is 1, by top);
+      below the normal range; the third, whose largest term is 1, by top;
+      the fourth lifts the weights by a power of two, which is exact);
     - the rest, below 2^-40: the powers of the terms and of the root, the
       rounding of 1/r and theta/r, which moves x^e by at most
-      2u |ln x^e| <= 1420 u for either weight, 745 u for the root, three
-      products, and in the third pass the quotients a / top, each within
-      u, which move each term by a factor within (1 +- u)^r and so the
-      norm by one within 1 +- u.
+      2u |ln x^e| <= 1420 u for the epsilon weight, 745 u for the root, two
+      products (in the fourth pass one more, and the power 2^(-shift/r)
+      that undoes the lift), and in the third pass the quotients a / top,
+      each within u, which move each term by a factor within (1 +- u)^r
+      and so the norm by one within 1 +- u.
     The bounds are built from computed values too, so delta = 3 rho, which
     covers both sides; eta = 2^-40 covers the bound's own arithmetic, and
     an absolute 2^-1070 covers weights below the normal range. At 2^16
     atoms delta is about 2.5e-11. Pruning is off where the proof needs
-    more: a top value times min(w_min, 1) below the normal range, a
-    scale_base outside it, or rho >= 0.1.
+    more: a top value times min(w_min, 1) below the normal range, or
+    rho >= 0.1.
     """
     p = exp.p
     tol = grid.relative_tolerance
@@ -495,12 +483,11 @@ def _norm_sup(abs_vals, weights, exp, grid, scale_base=1.0, table=False):
     def r_norm(r):
         return _weighted_r_norm(abs_vals, weights, r, extent)
 
-    ladder = _Ladder(grid, exp, scale_base, r_norm, extent)
+    ladder = _Ladder(grid, exp, r_norm, extent)
     with np.errstate(over="ignore"):
         # for theta > 0, eps^(theta/(p-eps)) -> 0 while the norm stays bounded
-        zero_limit = scale_base ** (1.0 / p) * r_norm(p) if exp.theta == 0.0 else 0.0
-        delta = None if table else _rounding_margin(abs_vals.size, weights, p, extent,
-                                                    scale_base)
+        zero_limit = r_norm(p) if exp.theta == 0.0 else 0.0
+        delta = None if table else _rounding_margin(abs_vals.size, weights, p, extent)
         plan = None if delta is None else _prune(ladder, zero_limit, delta, tol)
         if plan is None:
             ladder.fill()

@@ -12,7 +12,7 @@ from grandam.core import (COUNTING, GrandExponent, MeasureSpace,
                           SampledFunction, make_epsilon_grid)
 from grandam.grand import grand_norm, grand_sequence_norm
 
-from oracles import brute_amalgam, brute_discrete_amalgam, brute_translate
+from oracles import brute_amalgam, brute_discrete_amalgam, brute_grand_norm, brute_translate
 
 E20 = GrandExponent(2.0, 0.0)
 E21 = GrandExponent(2.0, 1.0)
@@ -375,6 +375,21 @@ def test_discrete_space_norm_unit_mass_bitwise():
         a = discrete_space_norm(lam, U, family, exp, grid)
         b = grand_sequence_norm(lam, exp, grid)
         assert a == b
+
+
+def test_discrete_space_norm_at_atom_weights_below_the_normal_range():
+    # the window mass is every weight of the coefficients' r-norm; a mass
+    # below the normal range still gives the dense scan's value
+    rng = np.random.default_rng(26)
+    for atom_weight in (1e-310, 1e-320):
+        U = Window(MeasureSpace(np.full(8, atom_weight)), (0, 1))
+        for p, th in ((2.0, 0.0), (2.0, 1.0), (3.0, 1e-3), (1.5, 3.0)):
+            e = GrandExponent(p, th)
+            lam = rng.lognormal(0.0, 2.0, 4)
+            got = discrete_space_norm(SampledFunction(MeasureSpace.counting(4), lam), U,
+                                      [0, 2, 4, 6], e)
+            want = brute_grand_norm(lam, np.ones(4), p, th, scale=U.mass)
+            assert abs(got - want) <= 1e-10 * want, (atom_weight, p, th)
 
 
 def test_discrete_space_norm_pinched_by_bounds():

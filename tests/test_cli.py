@@ -297,6 +297,41 @@ def run_in_process(tmp_path, config, *args):
     return code, out.getvalue(), err.getvalue()
 
 
+def test_out_into_a_missing_directory_is_an_input_error(tmp_path):
+    dest = tmp_path / "missing" / "report.json"
+    code, out, err = run_in_process(tmp_path, {}, "--out", str(dest), "witness")
+    assert code == 2
+    assert out == ""
+    assert "No such file or directory" in json.loads(err)["error"]
+
+
+def test_running_out_of_memory_is_an_input_error(monkeypatch, tmp_path):
+    # a stand-in raises, so nothing large is allocated
+    import grandam.cli as cli
+
+    def too_large(m, p):
+        raise MemoryError(f"Unable to allocate the box of half width {m}")
+
+    monkeypatch.setattr(cli, "noncompact_witness", too_large)
+    code, out, err = run_in_process(tmp_path, {}, "witness", "--m", "10000000000")
+    assert code == 2
+    assert out == ""
+    assert "Unable to allocate" in json.loads(err)["error"]
+
+
+def test_equivalence_at_a_large_global_exponent_has_a_finite_bound(workdir, tmp_path):
+    # kappa^(q - 1) leaves float range at q = 2000; c_up is taken root first
+    code, out, err = run_in_process(
+        tmp_path, {"exponents": {"p": 2, "q": 2000, "theta": 1}, "window": {"size": 4},
+                   "bupu": {"block_size": 4}},
+        "equivalence", "--f", str(workdir[0] / "f.csv"))
+    assert code in (0, 1), err
+    result = json.loads(out)["result"]
+    kappa, mu_diff = result["stats"]["kappa"], result["stats"]["mu_diff"]
+    want = math.exp((1999.0 * math.log(kappa) + math.log(mu_diff)) / 2000.0)
+    assert result["bounds"]["c_up"] == pytest.approx(want, rel=1e-14)
+
+
 def test_norm_of_huge_values_is_finite(tmp_path):
     # |f|^p overflows here; the report must still carry the scaled norm
     f = SampledFunction(MeasureSpace.cyclic(16),

@@ -222,6 +222,15 @@ def test_r_norm_out_of_range_takes_no_plain_pass():
             assert got == pytest.approx(v * math.sqrt(w), rel=1e-15)
 
 
+def test_lp_norm_of_weights_below_the_normal_range():
+    # the rescaled sum is still subnormal here; a pass over the weights
+    # lifted by a power of two keeps the full relative accuracy
+    for w in (1e-320, 5e-324):
+        f = SampledFunction(MeasureSpace(np.full(4, w)), np.array([1.0, 2.0, 3.0, 4.0]))
+        want = math.sqrt(30.0) * math.sqrt(w)
+        assert abs(lp_norm(f, 2.0) - want) <= 1e-15 * want, w
+
+
 def test_r_norm_of_a_huge_exponent_is_finite():
     # max |f| is not a power of two, so (max |f| / 2^k)^r overflows for r
     # above about 7e4 and the third pass divides by max |f| itself; the

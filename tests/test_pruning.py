@@ -61,13 +61,13 @@ def counted(monkeypatch):
     return calls
 
 
-def _both(calls, abs_vals, weights, exp, grid, scale_base=1.0):
+def _both(calls, abs_vals, weights, exp, grid):
     """(table profile, its calls, pruned profile, its calls)."""
     calls.clear()
-    table = grand._norm_sup(abs_vals, weights, exp, grid, scale_base, table=True)[0]
+    table = grand._norm_sup(abs_vals, weights, exp, grid, table=True)[0]
     table_calls = len(calls)
     calls.clear()
-    pruned = grand._norm_sup(abs_vals, weights, exp, grid, scale_base)[0]
+    pruned = grand._norm_sup(abs_vals, weights, exp, grid)[0]
     return table, table_calls, pruned, len(calls)
 
 
@@ -108,12 +108,13 @@ def test_pruned_supremum_is_the_full_tables_float(counted, space, n, kind, scale
        theta=st.sampled_from(THETAS),
        points=st.sampled_from([2, 64]),
        seed=st.integers(0, 2 ** 16))
-def test_pruned_supremum_with_a_scale_base(counted, n, kind, mass, p, theta, points, seed):
+def test_pruned_supremum_with_scaled_weights(counted, n, kind, mass, p, theta, points, seed):
+    # every atom weighs ``mass``, as in the discrete translate-step norm
     abs_vals = np.abs(_values(kind, n, seed))
     e = GrandExponent(p, theta)
     grid = make_epsilon_grid(e, points=points)
-    table, table_calls, pruned, pruned_calls = _both(counted, abs_vals, np.ones(n), e, grid,
-                                                     scale_base=mass)
+    table, table_calls, pruned, pruned_calls = _both(counted, abs_vals, np.ones(n) * mass, e,
+                                                     grid)
     assert pruned.sup_value.hex() == table.sup_value.hex()
     assert pruned_calls <= table_calls
 
@@ -128,8 +129,7 @@ def test_discrete_space_norm_takes_the_full_tables_float(atom_weight, p, theta):
     grid = make_epsilon_grid(e)
     for seed in range(4):
         lam = SampledFunction(MeasureSpace.counting(4), _values("lognormal", 4, seed))
-        table = grand._norm_sup(lam.abs_values(), lam.space.weights, e, grid,
-                                scale_base=U.mass, table=True)[0]
+        table = grand._norm_sup(lam.abs_values(), np.full(4, U.mass), e, grid, table=True)[0]
         got = discrete_space_norm(lam, U, [0, 2, 4, 6], e, grid)
         assert got.hex() == table.sup_value.hex()
 
@@ -137,18 +137,17 @@ def test_discrete_space_norm_takes_the_full_tables_float(atom_weight, p, theta):
 @pytest.mark.parametrize("scaled", [False, True])
 @pytest.mark.parametrize("space", ["cyclic", "counting", "interval"])
 def test_lane_sized_pruned_supremum_is_the_full_tables_float(counted, scaled, space):
-    # 2^14 atoms make a long ladder; ``scaled`` passes a window mass other
-    # than 1 as ``scale_base``, as the discrete translate-step norm does
+    # 2^14 atoms make a long ladder; ``scaled`` multiplies the weights by 3,
+    # as a window mass other than 1 does in the discrete translate-step norm
     n = 2 ** 14
-    sp = _space(space, n, n)
-    scale_base = 3.0 if scaled else 1.0
+    weights = _space(space, n, n).weights * (3.0 if scaled else 1.0)
     for kind in ("uniform", "one-spike", "cauchy"):
         abs_vals = np.abs(_values(kind, n, n + 1))
         for p, theta in ((2.0, 0.0), (3.0, 1e-6), (1.5, 0.5), (2.5, 3.0)):
             e = GrandExponent(p, theta)
             grid = make_epsilon_grid(e)
-            table, table_calls, pruned, pruned_calls = _both(counted, abs_vals, sp.weights, e,
-                                                             grid, scale_base)
+            table, table_calls, pruned, pruned_calls = _both(counted, abs_vals, weights, e,
+                                                             grid)
             assert pruned.sup_value.hex() == table.sup_value.hex(), (kind, p, theta)
             assert pruned_calls <= table_calls
 
@@ -260,24 +259,23 @@ def test_the_free_bound_covers_every_grid_point_below_it(space, total, p, theta)
     grid = make_epsilon_grid(e)
     for kind in ("constant", "uniform", "one-spike"):
         abs_vals = np.abs(_values(kind, n, n))
-        for scale_base in (0.25, 1.0, 3.0):
-            delta = grand._rounding_margin(n, weights, p, _extent(abs_vals, weights),
-                                           scale_base)
-            ladder = grand._norm_sup(abs_vals, weights, e, grid, scale_base, table=True)[1]
+        for mass in (0.25, 1.0, 3.0):
+            scaled = weights * mass
+            delta = grand._rounding_margin(n, scaled, p, _extent(abs_vals, scaled))
+            ladder = grand._norm_sup(abs_vals, scaled, e, grid, table=True)[1]
             for k in range(len(ladder.eps)):
                 most = max(ladder.vals[:k + 1])
-                assert most <= ladder.free_bound(k) * (1.0 + delta), (kind, scale_base, k)
+                assert most <= ladder.free_bound(k) * (1.0 + delta), (kind, mass, k)
 
 
-def _weighted(abs_vals, weights, exp, scale_base):
+def _weighted(abs_vals, weights, exp):
     """The weighted norm at eps, computed as ``_norm_sup`` computes it."""
     extent = _extent(abs_vals, weights)
     p, theta = exp.p, exp.theta
 
     def g(eps):
         r = p - eps
-        return ((eps ** (theta / r)) * scale_base ** (1.0 / r)
-                * grand._weighted_r_norm(abs_vals, weights, r, extent))
+        return (eps ** (theta / r)) * grand._weighted_r_norm(abs_vals, weights, r, extent)
     return g
 
 
@@ -298,19 +296,19 @@ def test_a_skipped_top_end_polish_could_not_have_won(monkeypatch, p, theta):
     grid = make_epsilon_grid(e)
     lo, hi = grid.eps_values[-2:].tolist()
     fired = 0
-    for space, scale_base in (("cyclic", 1.0), ("interval", 1.0), ("counting", 1.0),
-                              ("counting", 3.0), ("interval", 0.25)):
+    for space, mass in (("cyclic", 1.0), ("interval", 1.0), ("counting", 1.0),
+                        ("counting", 3.0), ("interval", 0.25)):
         for n in (1, 3, 64, 1000):
-            sp = _space(space, n, n)
+            weights = _space(space, n, n).weights * mass
             for kind in KINDS:
                 abs_vals = np.abs(_values(kind, n, n + 1))
                 skipped.clear()
-                best = grand._norm_sup(abs_vals, sp.weights, e, grid, scale_base)[0].sup_value
+                best = grand._norm_sup(abs_vals, weights, e, grid)[0].sup_value
                 if not skipped:
                     continue
                 fired += 1
                 probes = []
-                grand._golden_max(_weighted(abs_vals, sp.weights, e, scale_base), lo, hi,
+                grand._golden_max(_weighted(abs_vals, weights, e), lo, hi,
                                   grid.relative_tolerance, probes)
                 for eps, v in probes:
                     assert v <= skipped[0] * (1.0 + grand._SLACK), (space, n, kind, eps)
@@ -377,10 +375,10 @@ def test_a_top_end_bound_within_rounding_of_the_best_keeps_the_polish(monkeypatc
     e = GrandExponent(2.0, 1.0)
     grid = make_epsilon_grid(e)
     extent = _extent(abs_vals, sp.weights)
-    delta = grand._rounding_margin(n, sp.weights, e.p, extent, 1.0)
+    delta = grand._rounding_margin(n, sp.weights, e.p, extent)
 
     def plan():
-        ladder = grand._Ladder(grid, e, 1.0,
+        ladder = grand._Ladder(grid, e,
                                lambda r: grand._weighted_r_norm(abs_vals, sp.weights, r, extent),
                                extent)
         return grand._prune(ladder, 0.0, delta, grid.relative_tolerance), ladder
