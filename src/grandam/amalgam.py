@@ -1,10 +1,10 @@
 """Wiener amalgam norms over finite models, and their discretizations.
 
 A window Q picks out local behaviour: the control function
-F(x) = ||f * chi_{Q+x}|| (a grand norm per translate) is itself a sampled
-function, and the amalgam norm is a second grand norm applied to F. On
-the discrete side, a bounded uniform partition of unity (BUPU) chops f
-into pieces f*psi_i whose local norms form a sequence, measured by the
+F(x) = ||f * chi_{Q+x}|| (a grand norm on the atoms of Q + x) is a
+sampled function, and the amalgam norm is a second grand norm of F. A
+bounded uniform partition of unity (BUPU) chops f into pieces f*psi_i
+whose local norms, each on its support's atoms, form a sequence for the
 grand sequence norm. The equivalence report compares the two routes and
 carries explicit two-sided constants derived from window masses, overlap
 counts and covering numbers, so every ratio it prints can be checked
@@ -46,8 +46,6 @@ class Window:
 
     @property
     def mass(self):
-        if not self.members:
-            return 0.0
         return float(np.sum(self.space.weights[list(self.members)]))
 
     @property
@@ -74,37 +72,34 @@ def _translates(window, shifts):
     return inc[:, :window.space.size]
 
 
+def _translate_atoms(window, shifts):
+    """The unclipped atoms of each window + shifts[i], in ascending order."""
+    for row in np.sort(_translate_table(window, shifts), axis=1):
+        yield row[row >= 0]
+
+
 def translate_window(window, shift):
     """Q + shift, clipped to the domain when the geometry is an interval."""
-    row = _translate_table(window, [shift])[0]
-    return Window(window.space, row[row >= 0].tolist())
+    return Window(window.space, next(_translate_atoms(window, [shift])).tolist())
 
 
-def _local_norms(abs_rows, weights, exp, grid):
-    """Grand norm of each nonnegative row, straight through the engine."""
-    return np.array([_norm_sup(row, weights, exp, grid)[0].sup_value for row in abs_rows])
-
-
-def _windowed(abs_vals, table):
-    """Each row of ``table`` as |f| on its unclipped atoms and zero elsewhere."""
-    for row in table:
-        kept = row[row >= 0]
-        out = np.zeros(abs_vals.size)
-        out[kept] = abs_vals[kept]
-        yield out
+def _local_norms(rows, exp, grid):
+    """Grand norm of each (|values|, weights) row through the engine; 0.0 for an empty row."""
+    return np.array([_norm_sup(vals, w, exp, grid)[0].sup_value if vals.size else 0.0
+                     for vals, w in rows])
 
 
 def control_function(f, window, exp, grid=None):
-    """x -> grand norm of f restricted to Q + x, as a sampled function.
+    """x -> grand norm of f on the atoms of Q + x, as a sampled function.
 
     Empty translates (interval clipping) contribute the value 0.
     """
     window.require_nonempty()
     if not window.space.compatible_with(f.space):
         raise ValueError("window and function must live on the same space")
-    sp = f.space
-    rows = _windowed(f.abs_values(), _translate_table(window, sp.points))
-    return SampledFunction(sp, _local_norms(rows, sp.weights, exp, _resolve_grid(exp, grid)))
+    sp, abs_vals = f.space, f.abs_values()
+    rows = ((abs_vals[atoms], sp.weights[atoms]) for atoms in _translate_atoms(window, sp.points))
+    return SampledFunction(sp, _local_norms(rows, exp, _resolve_grid(exp, grid)))
 
 
 def amalgam_norm(f, window, local_exp, global_exp, local_grid=None, global_grid=None):
@@ -383,11 +378,12 @@ def discrete_space_bounds(window, exp):
 
 
 def _piece_norms(f, bupu, local_exp, local_grid):
-    """The sequence i -> ||f psi_i|| on a counting index set."""
+    """i -> ||f psi_i|| on a counting index set, psi_i read on its support (condition (c))."""
     if not f.space.compatible_with(bupu.space):
         raise ValueError("pointwise product needs functions on the same space")
-    rows = (np.abs(f.values * psi.values) for psi in bupu.functions)
-    seq = _local_norms(rows, f.space.weights, local_exp, local_grid)
+    rows = ((np.abs(f.values[atoms] * psi.values[atoms]), f.space.weights[atoms])
+            for psi, atoms in zip(bupu.functions, map(np.flatnonzero, bupu.supports)))
+    seq = _local_norms(rows, local_exp, local_grid)
     return SampledFunction(MeasureSpace.counting(len(seq)), seq)
 
 
@@ -492,6 +488,9 @@ def equivalence_report(f, qwindow, bupu, local_exp, global_exp,
     validation = bupu.validation
     if not validation.all_passed:
         raise ValueError("partition of unity fails its conditions; see validate_bupu")
+    if validation.max_overlap > 1:
+        raise ValueError("equivalence reports need a partition whose supports do not "
+                         f"overlap; these overlap {validation.max_overlap} deep")
 
     local_grid = _resolve_grid(local_exp, local_grid)
     global_grid = _resolve_grid(global_exp, global_grid)

@@ -7,11 +7,11 @@ spaces wrap around (finite abelian groups, componentwise for products),
 interval spaces shift and drop whatever leaves the domain, which amounts
 to extending functions by zero.
 
-The weighted r-norm kernel (``_weighted_r_norm``) raises |f| to the power
-r and takes one BLAS dot product with the weights. Over more than 10 000
-atoms that dot product is split between the BLAS threads, so its bits
-depend on the BLAS thread count (OPENBLAS_NUM_THREADS); for a given BLAS
-setting every norm is deterministic.
+Norms sum over the atoms where |f| > 0 (``_support``), so zero padding
+moves no bits. The r-norm kernel (``_weighted_r_norm``) takes one BLAS dot
+product, split between the BLAS threads above 10 000 atoms: the bits of a
+norm over that many nonzero atoms depend on OPENBLAS_NUM_THREADS, those of
+a window row only if the window is that large. Each setting is deterministic.
 """
 
 import math
@@ -298,6 +298,14 @@ class GrandExponent:
         return self.p - 1.0
 
 
+def _support(abs_vals, weights):
+    """(|f|, weights) on the atoms where |f| > 0, in atom order; every atom when f is 0."""
+    nonzero = abs_vals != 0.0
+    if nonzero.all() or not nonzero.any():
+        return abs_vals, weights
+    return abs_vals[nonzero], weights[nonzero]
+
+
 def _extent(abs_vals, weights):
     """(max a, log2 of it, log2 of the total weight, the total weight) for ``_weighted_r_norm``.
 
@@ -365,7 +373,7 @@ def lp_norm(f, r):
     ``r`` may be any finite exponent >= 1 or ``math.inf`` for the sup norm;
     anything below 1 is rejected because it no longer gives a norm.
     """
-    abs_vals = f.abs_values()
+    abs_vals, weights = _support(f.abs_values(), f.space.weights)
     if r == math.inf:
         return float(np.max(abs_vals))
     r = float(r)
@@ -373,8 +381,7 @@ def lp_norm(f, r):
         raise ValueError(f"r (={r}) must be >= 1 (math.inf for the sup norm)")
     # powers that overflow are rescaled inside the kernel
     with np.errstate(over="ignore"):
-        return _weighted_r_norm(abs_vals, f.space.weights, r,
-                                _extent(abs_vals, f.space.weights))
+        return _weighted_r_norm(abs_vals, weights, r, _extent(abs_vals, weights))
 
 
 def grand_factor(eps, exp):

@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import (_TINY, MeasureSpace, SampledFunction, _extent, _weighted_r_norm,
+from .core import (_TINY, MeasureSpace, SampledFunction, _extent, _support, _weighted_r_norm,
                    grand_factor, lp_norm, make_epsilon_grid)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -326,7 +326,8 @@ def _norm_sup(abs_vals, weights, exp, grid, table=False):
     Takes the supremum of  eps^(theta/(p-eps)) * ||.||_{p-eps}  over the
     grid, the polish probes and, for theta = 0, the eps -> 0 value
     ||.||_p, where ||.||_r is the r-norm under ``weights``. The discrete
-    translate-step norm passes the window mass as every weight.
+    translate-step norm passes the window mass as every weight. The sums
+    run over the atoms where the input is nonzero (``core._support``).
 
     Returns the profile and the ``_Ladder``: its ``norms`` are the plain
     norms ||.||_{p-eps} at the grid points, in grid order (None at a point
@@ -371,7 +372,7 @@ def _norm_sup(abs_vals, weights, exp, grid, table=False):
 
     The free bound (``_Ladder.free_bound``) on [eps_0, eps_k] takes the
     same first factor and replaces the second by one that needs no
-    r-norm: with top = max |f| and W the total weight,
+    r-norm: with top = max |f| and W the total weight of the support,
     sum_i w_i a_i^r <= top^r W, so ||f||_r <= top W^(1/r). W^(1/r) is
     monotone in 1/r, so over the exponents fl(p - eps) of the region, which
     lie between fl(p - eps_k) and fl(p - eps_0), it is at most the larger
@@ -452,9 +453,10 @@ def _norm_sup(abs_vals, weights, exp, grid, table=False):
     maximum inside the bracket, or too slowly to pay.
 
     delta, the rounding margin (``_rounding_margin``). With u = 2^-53,
-    powers within 16 ulps (glibc's pow is within 1) and n atoms, a computed
-    weighted norm lies within a relative rho of the exact one at the same
-    eps:
+    powers within 16 ulps (glibc's pow is within 1) and n atoms in the
+    support (a zero atom adds exactly 0, so the atoms dropped move no
+    sum), a computed weighted norm lies within a relative rho of the exact
+    one at the same eps:
     - the dot product of n nonnegative terms: gamma_n = n u / (1 - n u);
     - terms below the normal range add at most n (w_max (p/2 + 16) + 1)
       2^-1074 absolutely against a sum of at least
@@ -476,6 +478,7 @@ def _norm_sup(abs_vals, weights, exp, grid, table=False):
     more: a top value times min(w_min, 1) below the normal range, or
     rho >= 0.1.
     """
+    abs_vals, weights = _support(abs_vals, weights)
     p = exp.p
     tol = grid.relative_tolerance
     extent = _extent(abs_vals, weights)

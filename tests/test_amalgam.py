@@ -485,3 +485,51 @@ def test_equivalence_stats_describe_instance():
     assert rep.stats["cover_count"] == 1    # one Q translate covers one block
     assert rep.stats["window_mass"] == pytest.approx(0.25)
     assert rep.stats["atom_weight"] == pytest.approx(1 / 16)
+
+
+def test_equivalence_rejects_overlapping_supports_before_any_norm(monkeypatch):
+    calls = []
+    engine = amalgam._norm_sup
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].size)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(amalgam, "_norm_sup", counting)
+    sp = MeasureSpace.cyclic(12)
+    bupu = make_triangular_bupu(sp, 4)
+    with pytest.raises(ValueError, match="overlap"):
+        equivalence_report(SampledFunction.constant(sp, 1.0), Window(sp, (0, 1, 2, 3)),
+                           bupu, E21, E21, G21, G21)
+    assert calls == []
+
+
+@pytest.mark.parametrize("space", [MeasureSpace.cyclic(64), MeasureSpace.interval(64),
+                                   MeasureSpace.product((8, 8))])
+def test_local_norms_get_rows_of_window_atoms_only(monkeypatch, space):
+    # each row handed to the engine lives on one translate's atoms, never on all n
+    sizes = []
+    engine = amalgam._norm_sup
+
+    def recording(abs_vals, weights, *args, **kwargs):
+        assert abs_vals.shape == weights.shape
+        sizes.append(abs_vals.size)
+        return engine(abs_vals, weights, *args, **kwargs)
+
+    monkeypatch.setattr(amalgam, "_norm_sup", recording)
+    rng = np.random.default_rng(32)
+    vals = rng.standard_normal(64)
+    vals[rng.random(64) < 0.2] = 0.0
+    f = SampledFunction(space, vals)
+    Q = Window(space, (0, 1, 9, 10))
+    control_function(f, Q, E21, G21)
+    assert len(sizes) == 64   # one row per translate; none is clipped away here
+    assert max(sizes) <= Q.size
+    partitions = [make_uniform_bupu(space, 8)]
+    if space.factors == (64,):
+        partitions.append(make_triangular_bupu(space, 4))
+    for bupu in partitions:
+        sizes.clear()
+        discrete_amalgam_norm(f, bupu, E21, E21, G21, G21)
+        assert len(sizes) == len(bupu)
+        assert max(sizes) <= bupu.window.size

@@ -390,3 +390,40 @@ def test_a_top_end_bound_within_rounding_of_the_best_keeps_the_polish(monkeypatc
     assert best * (1.0 - delta) < near < best
     monkeypatch.setattr(grand._Ladder, "top_end_bound", lambda ladder, i, tol, floor: near)
     assert plan()[0] == [len(grid.eps_values) - 1]
+
+
+def _pad(vals, weights, rng):
+    """``vals`` and ``weights`` with zero atoms of random weight at random positions."""
+    n = vals.size
+    m = n + n // 2 + 1
+    slots = np.sort(rng.choice(m, n, replace=False))
+    padded, padded_w = np.zeros(m), rng.uniform(0.5, 2.0, m)
+    padded[slots], padded_w[slots] = vals, weights
+    return padded, padded_w
+
+
+def _norm_hex(norms):
+    return [None if v is None else v.hex() for v in norms]
+
+
+@pytest.mark.parametrize("n", [7, 100, 2 ** 14])
+@pytest.mark.parametrize("p, theta", [(2.0, 0.0), (2.0, 1.0), (1.5, 0.5), (3.0, 1e-3)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_zero_padded_row_gives_the_compacted_rows_bits(n, p, theta, seed):
+    # a zero atom adds exactly 0 to sum w a^r, so the engine drops it and
+    # the padded row reaches the kernel as the compacted one
+    rng = np.random.default_rng([n, seed])
+    vals = rng.lognormal(0.0, 1.0, n)
+    weights = 10.0 ** rng.uniform(-1.0, 1.0, n)
+    padded, padded_w = _pad(vals, weights, rng)
+    e = GrandExponent(p, theta)
+    grid = make_epsilon_grid(e)
+    for table in (False, True):
+        got, got_ladder = grand._norm_sup(padded, padded_w, e, grid, table=table)
+        want, want_ladder = grand._norm_sup(vals, weights, e, grid, table=table)
+        assert _hex(got) == _hex(want)
+        assert _norm_hex(got_ladder.norms) == _norm_hex(want_ladder.norms)
+    dense = SampledFunction(MeasureSpace(weights, INTERVAL), vals)
+    sparse = SampledFunction(MeasureSpace(padded_w, INTERVAL), padded)
+    for r in (1.0, p - 0.25, p, 2.0 * p, math.inf):
+        assert lp_norm(sparse, r).hex() == lp_norm(dense, r).hex()
