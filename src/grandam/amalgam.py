@@ -64,23 +64,15 @@ def _translate_table(window, shifts):
                                           np.reshape(shifts, (-1, 1)))
 
 
-def _translates(window, shifts):
-    """Boolean incidence: entry [i, x] says whether atom x lies in window + shifts[i]."""
-    table = _translate_table(window, shifts)
-    inc = np.zeros((len(table), window.space.size + 1), dtype=bool)
-    inc[np.arange(len(table))[:, None], table] = True   # clipped atoms land in the spare column
-    return inc[:, :window.space.size]
-
-
-def _translate_atoms(window, shifts):
-    """The unclipped atoms of each window + shifts[i], in ascending order."""
-    for row in np.sort(_translate_table(window, shifts), axis=1):
+def _row_atoms(table):
+    """The unclipped atoms of each row of a translate table, in ascending order."""
+    for row in np.sort(table, axis=1):
         yield row[row >= 0]
 
 
 def translate_window(window, shift):
     """Q + shift, clipped to the domain when the geometry is an interval."""
-    return Window(window.space, next(_translate_atoms(window, [shift])).tolist())
+    return Window(window.space, next(_row_atoms(_translate_table(window, [shift]))).tolist())
 
 
 def _local_norms(rows, exp, grid):
@@ -98,7 +90,8 @@ def control_function(f, window, exp, grid=None):
     if not window.space.compatible_with(f.space):
         raise ValueError("window and function must live on the same space")
     sp, abs_vals = f.space, f.abs_values()
-    rows = ((abs_vals[atoms], sp.weights[atoms]) for atoms in _translate_atoms(window, sp.points))
+    rows = ((abs_vals[atoms], sp.weights[atoms])
+            for atoms in _row_atoms(_translate_table(window, sp.points)))
     return SampledFunction(sp, _local_norms(rows, exp, _resolve_grid(exp, grid)))
 
 
@@ -118,9 +111,10 @@ class Bupu:
 
     ``functions[i]`` is psi_i, supported inside window + centers[i], with
     sup norms at most ``sup_bound`` and pointwise sum identically one.
-    ``ragged`` flags construction from blocks that did not divide the
-    space evenly. A broken partition can still be built; its
-    ``validation`` says which conditions fail.
+    Those translates are the rows of ``supports``, the one model of a
+    translate here. ``ragged`` flags construction from blocks that did
+    not divide the space evenly. A broken partition can still be built;
+    its ``validation`` says which conditions fail.
     """
 
     functions: tuple
@@ -152,10 +146,10 @@ class Bupu:
 
     @cached_property
     def supports(self):
-        """Read-only incidence: entry [i, x] says whether atom x lies in window + centers[i]."""
-        inc = _translates(self.window, self.centers)
-        inc.setflags(write=False)
-        return inc
+        """Read-only translate table: row i is window + centers[i], -1 where clipped."""
+        table = _translate_table(self.window, self.centers)
+        table.setflags(write=False)
+        return table
 
     @cached_property
     def validation(self):
@@ -163,9 +157,10 @@ class Bupu:
         total = sum(psi.values.real for psi in self.functions)
         sum_dev = float(np.max(np.abs(total - 1.0)))
         sup_measured = max(lp_norm(psi, np.inf) for psi in self.functions)
-        nonzero = np.array([psi.values != 0.0 for psi in self.functions])
-        violations = int(np.count_nonzero(nonzero & ~self.supports))
-        overlap = int(self.supports.sum(axis=0).max())
+        table = self.supports
+        violations = int(sum(np.count_nonzero(psi.values) - np.count_nonzero(psi.values[atoms])
+                             for psi, atoms in zip(self.functions, _row_atoms(table))))
+        overlap = int(np.bincount(table[table >= 0], minlength=1).max())
         return BupuValidation(
             sum_deviation=sum_dev,
             passed_a=sum_dev <= _PARTITION_TOL,
@@ -183,26 +178,22 @@ def make_uniform_bupu(space, block_size):
     """Indicator BUPU from consecutive blocks of ``block_size`` atoms.
 
     A last block shorter than the rest is allowed but flagged via
-    ``ragged``; all four partition conditions hold by construction and
-    are re-checked before returning.
+    ``ragged``. The four partition conditions are checked before
+    returning; on a product group they fail when a block straddles a
+    factor, and that raises ``ValueError``.
     """
     n = space.size
+    block_size = int(_integers(block_size, "block_size"))
     if not 1 <= block_size <= n:
         raise ValueError(f"block_size (={block_size}) must lie in 1..{n}")
-    functions = []
-    centers = []
-    for start in range(0, n, block_size):
-        block = range(start, min(start + block_size, n))
-        functions.append(SampledFunction.indicator(space, block))
-        centers.append(start)
-    bupu = Bupu(
-        functions=tuple(functions),
-        centers=tuple(centers),
-        window=Window(space, tuple(range(block_size))),
-        sup_bound=1.0,
-        ragged=(n % block_size != 0),
-    )
-    assert bupu.validation.all_passed, "uniform blocks must satisfy the partition conditions"
+    centers = tuple(range(0, n, block_size))
+    functions = tuple(SampledFunction.indicator(space, range(c, min(c + block_size, n)))
+                      for c in centers)
+    bupu = Bupu(functions, centers, Window(space, range(block_size)), sup_bound=1.0,
+                ragged=n % block_size != 0)
+    if not bupu.validation.all_passed:   # a block straddles a factor of a product group
+        raise ValueError(f"blocks of {block_size} consecutive atoms are not translates of "
+                         f"one window in the group with factors {space.factors}")
     return bupu
 
 
@@ -214,6 +205,7 @@ def make_triangular_bupu(space, spacing):
     Only cyclic spaces of two or more whole periods of ``spacing`` qualify.
     """
     n = space.size
+    spacing = int(_integers(spacing, "spacing"))
     if space.geometry != CYCLIC or len(space.factors) > 1:
         raise ValueError("triangular partitions need a plain cyclic space")
     if spacing < 2 or n % spacing != 0 or n < 2 * spacing:
@@ -299,20 +291,23 @@ def well_spread_check(family, window):
 
     The partition count comes from greedy colouring of the translate
     intersection graph: translates of one colour are pairwise disjoint.
+    Each translate takes the least colour that no earlier translate on
+    one of its atoms holds.
     """
     window.require_nonempty()
-    translates = _translates(window, family)
-    dense = bool(translates.any(axis=0).all())
-    meets = translates @ translates.T
+    table = _translate_table(window, family)
+    dense = bool(np.bincount(table[table >= 0], minlength=window.space.size).all())
 
-    colors = []
-    for i in range(len(translates)):
-        used = {colors[j] for j in range(i) if meets[i, j]}
+    held = {}   # atom -> colours of the earlier translates on it
+    count = 0
+    for atoms in map(np.ndarray.tolist, _row_atoms(table)):
+        used = set().union(*(held.get(a, ()) for a in atoms))
         c = 0
         while c in used:
             c += 1
-        colors.append(c)
-    count = (max(colors) + 1) if colors else 0
+        for a in atoms:
+            held.setdefault(a, set()).add(c)
+        count = max(count, c + 1)
     return WellSpreadReport(dense, count)
 
 
@@ -382,7 +377,7 @@ def _piece_norms(f, bupu, local_exp, local_grid):
     if not f.space.compatible_with(bupu.space):
         raise ValueError("pointwise product needs functions on the same space")
     rows = ((np.abs(f.values[atoms] * psi.values[atoms]), f.space.weights[atoms])
-            for psi, atoms in zip(bupu.functions, map(np.flatnonzero, bupu.supports)))
+            for psi, atoms in zip(bupu.functions, _row_atoms(bupu.supports)))
     seq = _local_norms(rows, local_exp, local_grid)
     return SampledFunction(MeasureSpace.counting(len(seq)), seq)
 
@@ -400,21 +395,47 @@ def discrete_amalgam_norm(f, bupu, local_exp, global_exp,
 # continuous vs discrete equivalence
 
 
-def _greedy_cover_count(translates, target):
-    """Number of rows of ``translates`` a greedy sweep needs to cover ``target``.
+def _greedy_cover_count(covers):
+    """Rows a greedy sweep takes to cover every column of the boolean ``covers``.
 
-    Both are boolean incidence over the atoms; ties go to the first row.
+    Each step takes the first row that covers the most columns left.
     """
-    uncovered = target.copy()
-    count = 0
+    uncovered, count = np.ones(covers.shape[1], dtype=bool), 0
     while uncovered.any():
-        gains = np.count_nonzero(translates & uncovered, axis=1)
-        best = int(np.argmax(gains))
-        if gains[best] == 0:
+        gains = np.count_nonzero(covers & uncovered, axis=1)
+        if not gains.any():
             raise ValueError("window translates cannot cover the target set")
-        uncovered &= ~translates[best]
+        uncovered &= ~covers[np.argmax(gains)]
         count += 1
     return count
+
+
+def _overlap_geometry(qwindow, bupu):
+    """(kappa, mu_diff, cover_count) of the Q translates against disjoint partition supports.
+
+    kappa is the most supports one Q + x meets; mu_diff the largest mass
+    of the x whose Q + x meets one support, summed in ascending x. The
+    first support is covered by the Q + x that meet it, in ascending x;
+    the others would gain nothing, so the greedy sweep picks the same rows.
+    """
+    sp, supports = qwindow.space, bupu.supports
+    piece = np.empty(sp.size, dtype=np.intp)    # cyclic: every atom in exactly one support
+    piece[supports] = np.arange(len(supports))[:, None]
+    q_table = _translate_table(qwindow, sp.points)
+    ids = np.sort(piece[q_table], axis=1)       # row x: the piece of each atom of Q + x
+    kappa = int(np.max(1 + np.count_nonzero(np.diff(ids, axis=1), axis=1)))
+
+    pairs = np.unique(ids * sp.size + sp.points[:, None])   # (piece, x), by piece then x
+    xs = np.split(pairs % sp.size, np.flatnonzero(np.diff(pairs // sp.size)) + 1)
+    mu_diff = max(float(np.sum(sp.weights[x])) for x in xs)
+
+    width = supports.shape[1]
+    slot = np.full(sp.size, width)              # column of each atom of the first support
+    slot[supports[0]] = np.arange(width)
+    meeting = q_table[(ids == 0).any(axis=1)]
+    covers = np.zeros((len(meeting), width + 1), dtype=bool)   # the last column is spare
+    covers[np.arange(len(meeting))[:, None], slot[meeting]] = True
+    return kappa, mu_diff, _greedy_cover_count(covers[:, :width])
 
 
 @dataclass(frozen=True)
@@ -502,15 +523,7 @@ def equivalence_report(f, qwindow, bupu, local_exp, global_exp,
     step_fn = step_function_from_coefficients(seq.values, bupu.window, bupu.centers)
     step = grand_norm(step_fn, global_exp, global_grid)
 
-    # instance geometry: overlap count and difference-window mass ...
-    supports = bupu.supports
-    q_translates = _translates(qwindow, sp.points)
-    meets = q_translates @ supports.T        # [x, i]: Q + x meets U + y_i
-    kappa = int(meets.sum(axis=1).max())
-    mu_diff = max(float(np.sum(sp.weights[hits])) for hits in meets.T)
-
-    # ... and the covering number of one support window by Q translates
-    cover_count = _greedy_cover_count(q_translates, supports[0])
+    kappa, mu_diff, cover_count = _overlap_geometry(qwindow, bupu)
 
     q = global_exp.p
     if (q - 1.0) * math.log2(kappa) + math.log2(mu_diff) < 1023.0:

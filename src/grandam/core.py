@@ -177,20 +177,6 @@ class MeasureSpace:
         digits = zip(np.unravel_index(idx, fac), np.unravel_index(shift % self.size, fac))
         return np.ravel_multi_index(tuple(a + b for a, b in digits), fac, mode="wrap")
 
-    def translate_index(self, index, shift):
-        """Index of atom ``index`` shifted by ``shift``; None when clipped away."""
-        if not 0 <= index < self.size:
-            raise ValueError(f"index (={index}) out of range for {self.size} atoms")
-        t = int(self.translate_indices(index, shift))
-        return t if t >= 0 else None
-
-    def negate_index(self, index):
-        """Group inverse of ``index`` on a cyclic space."""
-        if self.geometry != CYCLIC:
-            raise ValueError("group inverses need a cyclic space")
-        digits = np.unravel_index(index % self.size, self.factors)
-        return int(np.ravel_multi_index(tuple(-d for d in digits), self.factors, mode="wrap"))
-
 
 @dataclass(frozen=True, eq=False)
 class SampledFunction:

@@ -3,9 +3,12 @@
 Everything here is deliberately written against plain Python floats and
 loops, with a dense scan plus ternary polish instead of the package's
 coarse grid plus golden refinement, so the two sides share no code
-paths beyond the defining formulas. The one numpy helper, ``full_gather``,
-is the order^2 matrix that ``convolve`` used to build whole; it pins the
-bits of the block-by-block product.
+paths beyond the defining formulas. Two numpy models stand in for code
+the package no longer has: ``full_gather`` is the order^2 matrix that
+``convolve`` used to build whole, and ``brute_translates`` the boolean
+incidence of window translates over every atom that partitions, well-spread
+checks and the equivalence geometry used before they read translate tables.
+Both pin the bits of what replaced them.
 """
 
 import math
@@ -158,3 +161,60 @@ def full_gather(g, factors):
     windows = sliding_window_view(doubled, factors)
     rows = tuple(slice(n - 1, None, -1) for n in factors)
     return np.ascontiguousarray(windows[rows]).reshape(g.size, g.size)
+
+
+def brute_translates(space, members, shifts):
+    """Boolean incidence [i, x]: atom x lies in members + shifts[i], moved atom by atom.
+
+    Cyclic spaces add digit by digit; interval spaces drop what leaves the line.
+    """
+    inc = np.zeros((len(shifts), space.size), dtype=bool)
+    for i, s in enumerate(shifts):
+        for m in members:
+            if space.factors is not None:
+                inc[i, brute_translate(m, s, space.factors)] = True
+            elif 0 <= m + s < space.size:
+                inc[i, m + s] = True
+    return inc
+
+
+def brute_well_spread(space, members, family):
+    """(U-dense, colour count): greedy colouring of the translates' intersection matrix."""
+    inc = brute_translates(space, members, family)
+    meets = inc @ inc.T
+    colors = []
+    for i in range(len(inc)):
+        used = {colors[j] for j in range(i) if meets[i, j]}
+        c = 0
+        while c in used:
+            c += 1
+        colors.append(c)
+    return bool(inc.any(axis=0).all()), max(colors, default=-1) + 1
+
+
+def brute_bupu_checks(bupu):
+    """(max overlap, support violations) from the (pieces, atoms) incidence of the supports."""
+    inc = brute_translates(bupu.space, bupu.window.members, bupu.centers)
+    nonzero = np.array([psi.values != 0.0 for psi in bupu.functions])
+    return int(inc.sum(axis=0).max()), int(np.count_nonzero(nonzero & ~inc))
+
+
+def brute_overlap_geometry(qmembers, bupu):
+    """(kappa, mu_diff, cover_count) of every Q + x against the partition supports.
+
+    kappa counts the supports one Q + x meets; mu_diff sums, per support,
+    the weights of the x whose Q + x meets it, in ascending x; the cover
+    count is a greedy sweep of all Q + x over the first support.
+    """
+    sp = bupu.space
+    supports = brute_translates(sp, bupu.window.members, bupu.centers)
+    q = brute_translates(sp, qmembers, range(sp.size))
+    meets = q @ supports.T
+    kappa = int(meets.sum(axis=1).max())
+    mu_diff = max(float(np.sum(sp.weights[hits])) for hits in meets.T)
+    uncovered = supports[0].copy()
+    count = 0
+    while uncovered.any():
+        uncovered &= ~q[int(np.argmax(np.count_nonzero(q & uncovered, axis=1)))]
+        count += 1
+    return kappa, mu_diff, count

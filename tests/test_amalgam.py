@@ -231,30 +231,31 @@ def test_partition_is_validated_once():
     assert validate_bupu(bupu) is bupu.validation
     assert bupu.supports is bupu.supports
     assert not bupu.supports.flags.writeable
-    assert bupu.supports.shape == (4, 12)
+    assert bupu.supports.shape == (4, 3)
 
 
 def _count_translates(monkeypatch):
     calls = []
-    original = amalgam._translates
+    original = amalgam._translate_table
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(amalgam, "_translates", counting)
+    monkeypatch.setattr(amalgam, "_translate_table", counting)
     return calls
 
 
 def test_equivalence_report_builds_one_incidence(monkeypatch):
     # the factory already validated the partition and built its supports;
-    # the report only adds the incidence of the Q translates
+    # the report adds the Q translates of the control function and of the
+    # geometry, and the step function's translates of the partition window
     sp = MeasureSpace.cyclic(16)
     bupu = make_uniform_bupu(sp, 4)
+    q = Window(sp, (0, 1, 2, 3))
     calls = _count_translates(monkeypatch)
-    equivalence_report(SampledFunction.indicator(sp, [0]), Window(sp, (0, 1, 2, 3)),
-                       bupu, E21, E21, G21, G21)
-    assert len(calls) == 1
+    equivalence_report(SampledFunction.indicator(sp, [0]), q, bupu, E21, E21, G21, G21)
+    assert [args[0] for args in calls] == [q, bupu.window, q]
 
 
 def test_discrete_amalgam_norm_reuses_the_validation(monkeypatch):
@@ -274,6 +275,29 @@ def test_broken_partition_is_rejected_by_the_norms():
         discrete_amalgam_norm(half, bupu, E21, E21, G21, G21)
     with pytest.raises(ValueError, match="fails its conditions"):
         equivalence_report(half, Window(sp, (0,)), bupu, E21, E21, G21, G21)
+
+
+@pytest.mark.parametrize("factors, straddling", [
+    ((3, 5), {2, 3, 4, 6, 7, 8, 9}),
+    ((4, 4), {3, 5, 6, 7}),
+    ((2, 3, 4), {3, 5, 6, 7, 8, 9, 10, 11}),
+])
+def test_uniform_blocks_must_be_group_translates(factors, straddling):
+    # a flat block that straddles a factor is no translate of {0..b-1}
+    sp = MeasureSpace.product(factors)
+    for b in range(1, sp.size + 1):
+        if b in straddling:
+            with pytest.raises(ValueError, match=rf"^blocks of {b} .* factors \({factors[0]}, "):
+                make_uniform_bupu(sp, b)
+        else:
+            assert make_uniform_bupu(sp, b).validation.support_violations == 0
+
+
+def test_partition_spacings_may_be_integral_floats():
+    sp = MeasureSpace.cyclic(8)
+    assert make_uniform_bupu(sp, 4.0).centers == make_uniform_bupu(sp, 4).centers
+    assert _bits(make_triangular_bupu(sp, 4.0).functions[1].values) == _bits(
+        make_triangular_bupu(sp, 4).functions[1].values)
 
 
 def test_triangular_bupu_overlap_two():

@@ -7,7 +7,8 @@ from grandam.core import (_TINY, COUNTING, CYCLIC, INTERVAL, EpsilonGrid,
                           GrandExponent, MeasureSpace, SampledFunction, _extent,
                           _weighted_r_norm, grand_factor, lp_norm, make_epsilon_grid)
 
-from grandam.amalgam import Bupu, Window, make_uniform_bupu, translate_window
+from grandam.amalgam import (Bupu, Window, make_triangular_bupu, make_uniform_bupu,
+                             translate_window)
 from grandam.convolution import noncompact_witness
 from grandam.grand import epsilon_profile, grand_norm
 
@@ -63,16 +64,16 @@ def test_weights_are_frozen():
 
 def test_cyclic_translation_wraps():
     sp = MeasureSpace.cyclic(8)
-    assert sp.translate_index(6, 3) == 1
-    assert sp.translate_index(0, -1) == 7
-    assert sp.negate_index(3) == 5
-    assert sp.negate_index(0) == 0
+    assert sp.translate_indices(6, 3) == 1
+    assert sp.translate_indices(0, -1) == 7
+    assert sp.translate_indices(3, 5) == 0      # -3 = 5
+    assert sp.translate_indices(0, 0) == 0
 
 
 def test_interval_translation_clips():
     sp = MeasureSpace.interval(8)
-    assert sp.translate_index(2, 3) == 5
-    assert sp.translate_index(6, 3) is None
+    assert sp.translate_indices(2, 3) == 5
+    assert sp.translate_indices(6, 3) == -1
     assert _moved(sp, (6, 7), 3) == ()
     assert _moved(sp, (0, 1, 6), 1) == (1, 2, 7)
 
@@ -81,8 +82,8 @@ def test_product_group_translation():
     # Z_2 x Z_3 laid out row-major: index = 3 a + b.
     sp = MeasureSpace.product((2, 3))
     assert sp.size == 6
-    assert sp.translate_index(5, 4) == 0    # (1,2) + (1,1) = (0,0)
-    assert sp.negate_index(4) == 5          # -(1,1) = (1,2), index 3*1+2
+    assert sp.translate_indices(5, 4) == 0  # (1,2) + (1,1) = (0,0)
+    assert sp.translate_indices(4, 5) == 0  # -(1,1) = (1,2), index 3*1+2
     with pytest.raises(ValueError, match="factors"):
         MeasureSpace(np.ones(5), CYCLIC, factors=(2, 3))
 
@@ -93,10 +94,10 @@ def test_translation_matches_digit_loop(factors):
     n = sp.size
     shifts = range(-n - 3, 2 * n + 3)           # negative and >= n included
     for i in range(n):
-        assert sp.negate_index(i) == brute_negate(i, factors)
+        assert sp.translate_indices(i, brute_negate(i, factors)) == 0
         for s in shifts:
             want = brute_translate(i, s, factors)
-            assert sp.translate_index(i, s) == want
+            assert sp.translate_indices(i, s) == want
             assert _moved(sp, (i,), s) == (want,)
     f = SampledFunction(sp, np.arange(float(n)))
     for s in shifts:
@@ -110,8 +111,8 @@ def test_interval_translation_matches_clipping_loop():
     sp = MeasureSpace.interval(6)
     for s in range(-8, 9):
         for i in range(6):
-            want = i + s if 0 <= i + s < 6 else None
-            assert sp.translate_index(i, s) == want
+            want = i + s if 0 <= i + s < 6 else -1
+            assert sp.translate_indices(i, s) == want
         assert _moved(sp, range(6), s) == tuple(
             i + s for i in range(6) if 0 <= i + s < 6)
 
@@ -330,7 +331,9 @@ def _bupu_with_centers(centers):
     (lambda: MeasureSpace.product((2.5, 4)), "group factors"),
     (lambda: _bupu_with_centers((0.9, 4.2)), "centers"),
     (lambda: noncompact_witness(2.9, 2.0), "m"),
-], ids=["translate", "window", "indicator", "product", "bupu", "witness"])
+    (lambda: make_uniform_bupu(MeasureSpace.cyclic(8), 2.5), "block_size"),
+    (lambda: make_triangular_bupu(MeasureSpace.cyclic(8), 2.5), "spacing"),
+], ids=["translate", "window", "indicator", "product", "bupu", "witness", "blocks", "hats"])
 def test_non_integer_index_is_refused_not_truncated(build, name):
     with pytest.raises(ValueError, match=rf"^{name} \(=.*\) must be integral"):
         build()

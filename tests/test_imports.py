@@ -1,4 +1,4 @@
-"""Two lint rules for the grandam sources.
+"""Two lint rules for the grandam sources, and the names the benchmark reads.
 
 Every name a grandam module, test module or benchmark script imports is
 used by that module, and every private module-level name (``_helper``
@@ -6,10 +6,15 @@ functions, ``_CONSTANT`` values) that a grandam module defines is
 referenced somewhere in the package. No linter
 ships with the project, so these stand in for unused-import and
 dead-code checks. Names that ``__init__.py`` imports to re-export are
-exempt from the first rule.
+exempt from the first rule. The benchmark scripts read the package by
+name (``ga.make_uniform_bupu``, the tracer's ``module.function`` list);
+each of those names must resolve, so a change that removes one breaks a
+test here before it breaks a benchmark run.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -83,3 +88,41 @@ def test_every_private_name_is_referenced():
     dead = sorted(f"{name}.{defined}" for name, tree in trees.items()
                   for defined in _private_definitions(tree) if defined not in referenced)
     assert not dead, f"private names defined but never referenced: {dead}"
+
+
+def test_traced_functions_exist():
+    tree = ast.parse((BENCH / "tracer.py").read_text(encoding="utf-8"))
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign) and node.targets[0].id == "TRACED")
+    for qual in traced:
+        mod_name, func = qual.split(".")
+        module = importlib.import_module(f"grandam.{mod_name}")
+        assert inspect.isfunction(getattr(module, func, None)), qual
+
+
+def _grandam_reads(tree):
+    """(binding, attribute chain) of each read through an ``import grandam ...`` binding."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "grandam":
+                    importlib.import_module(alias.name)
+                    aliases.add(alias.asname or "grandam")
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in aliases:
+            yield node.id, chain[::-1]
+
+
+@pytest.mark.parametrize("path", sorted(BENCH.glob("*.py")), ids=lambda p: p.name)
+def test_benchmark_reads_names_the_package_has(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for root, chain in _grandam_reads(tree):
+        target = importlib.import_module("grandam")
+        for attr in chain:
+            assert hasattr(target, attr), f"{path.name} reads {root}.{'.'.join(chain)}"
+            target = getattr(target, attr)
