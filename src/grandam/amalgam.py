@@ -3,12 +3,12 @@
 A window Q picks out local behaviour: the control function
 F(x) = ||f * chi_{Q+x}|| (a grand norm on the atoms of Q + x) is a
 sampled function, and the amalgam norm is a second grand norm of F. A
-bounded uniform partition of unity (BUPU) chops f into pieces f*psi_i
-whose local norms, each on its support's atoms, form a sequence for the
-grand sequence norm. The equivalence report compares the two routes and
-carries explicit two-sided constants derived from window masses, overlap
-counts and covering numbers, so every ratio it prints can be checked
-against a bound computed for that exact instance.
+bounded uniform partition of unity (BUPU) holds each psi_i as its values
+on one window translate; the local norms of the pieces f*psi_i, each on
+those atoms, form a sequence for the grand sequence norm. The equivalence
+report compares the two routes with explicit two-sided constants derived
+from window masses, overlap counts and covering numbers, so every ratio
+it prints can be checked against a bound computed for that instance.
 """
 
 import math
@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import CYCLIC, MeasureSpace, SampledFunction, _integers, lp_norm
+from .core import CYCLIC, MeasureSpace, SampledFunction, _integers
 from .grand import (_norm_sup, _resolve_grid, grand_norm, grand_sequence_norm)
 
 _PARTITION_TOL = 1e-12   # absolute, on the sum-to-one and sup-bound conditions
@@ -107,42 +107,40 @@ def amalgam_norm(f, window, local_exp, global_exp, local_grid=None, global_grid=
 
 @dataclass(frozen=True, eq=False)
 class Bupu:
-    """A bounded uniform partition of unity on a measure space.
+    """A bounded uniform partition of unity on the window's space, as |U| values per piece.
 
-    ``functions[i]`` is psi_i, supported inside window + centers[i], with
-    sup norms at most ``sup_bound`` and pointwise sum identically one.
-    Those translates are the rows of ``supports``, the one model of a
-    translate here. ``ragged`` flags construction from blocks that did
-    not divide the space evenly. A broken partition can still be built;
-    its ``validation`` says which conditions fail.
+    ``values[i, j]`` is psi_i at atom ``supports[i, j]`` of window +
+    centers[i], and psi_i is zero elsewhere. The pieces should have sup
+    norms at most ``sup_bound`` and sum to one. ``ragged`` flags blocks
+    that did not divide the space evenly. A broken partition can still be
+    built; its ``validation`` says which conditions fail.
     """
 
-    functions: tuple
+    values: np.ndarray
     centers: tuple
     window: Window
     sup_bound: float
     ragged: bool = False
 
     def __post_init__(self):
-        if len(self.functions) != len(self.centers):
-            raise ValueError("need exactly one center per partition member")
-        if not self.functions:
-            raise ValueError("partition of unity cannot be empty")
-        sp = self.functions[0].space
-        for psi in self.functions:
-            if not psi.space.compatible_with(sp):
-                raise ValueError("all partition members must share one space")
-        if not self.window.space.compatible_with(sp):
-            raise ValueError("window and partition must live on the same space")
-        self.window.require_nonempty()
         object.__setattr__(self, "centers", tuple(_integers(self.centers, "centers").tolist()))
+        if not self.centers:
+            raise ValueError("partition of unity cannot be empty")
+        self.window.require_nonempty()
+        vals, shape = np.asarray(self.values), (len(self.centers), self.window.size)
+        if vals.dtype.kind not in "biuf" or vals.shape != shape or not np.isfinite(vals).all():
+            raise ValueError(f"partition values must be real and finite, of shape {shape} "
+                             f"(a row of window values per center), not {vals.dtype} {vals.shape}")
+        vals = vals.astype(float)
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
 
     @property
     def space(self):
-        return self.functions[0].space
+        return self.window.space
 
     def __len__(self):
-        return len(self.functions)
+        return len(self.centers)
 
     @cached_property
     def supports(self):
@@ -153,14 +151,18 @@ class Bupu:
 
     @cached_property
     def validation(self):
-        """The four partition conditions, checked on first access and kept."""
-        total = sum(psi.values.real for psi in self.functions)
+        """The four partition conditions, read off the table on first access and kept.
+
+        Each atom sums its pieces in piece order. Condition (c) counts the
+        nonzero values on clipped slots, outside the domain: 0 on a cyclic space.
+        """
+        table, vals = self.supports, self.values
+        kept = table >= 0
+        total = np.bincount(table[kept], weights=vals[kept], minlength=self.space.size)
         sum_dev = float(np.max(np.abs(total - 1.0)))
-        sup_measured = max(lp_norm(psi, np.inf) for psi in self.functions)
-        table = self.supports
-        violations = int(sum(np.count_nonzero(psi.values) - np.count_nonzero(psi.values[atoms])
-                             for psi, atoms in zip(self.functions, _row_atoms(table))))
-        overlap = int(np.bincount(table[table >= 0], minlength=1).max())
+        sup_measured = float(np.max(np.abs(vals)))
+        violations = int(np.count_nonzero(vals[~kept]))
+        overlap = int(np.bincount(table[kept], minlength=1).max())
         return BupuValidation(
             sum_deviation=sum_dev,
             passed_a=sum_dev <= _PARTITION_TOL,
@@ -177,20 +179,21 @@ class Bupu:
 def make_uniform_bupu(space, block_size):
     """Indicator BUPU from consecutive blocks of ``block_size`` atoms.
 
-    A last block shorter than the rest is allowed but flagged via
-    ``ragged``. The four partition conditions are checked before
-    returning; on a product group they fail when a block straddles a
-    factor, and that raises ``ValueError``.
+    Piece i is one on the atoms of its translate-table row that lie in the
+    flat block c_i .. c_i + block_size - 1. A short last block is allowed
+    but flagged via ``ragged``. The partition conditions are checked
+    before returning; on a product group a block that straddles a factor
+    leaves an atom that no piece covers, and that raises ``ValueError``.
     """
     n = space.size
     block_size = int(_integers(block_size, "block_size"))
     if not 1 <= block_size <= n:
         raise ValueError(f"block_size (={block_size}) must lie in 1..{n}")
-    centers = tuple(range(0, n, block_size))
-    functions = tuple(SampledFunction.indicator(space, range(c, min(c + block_size, n)))
-                      for c in centers)
-    bupu = Bupu(functions, centers, Window(space, range(block_size)), sup_bound=1.0,
-                ragged=n % block_size != 0)
+    window = Window(space, range(block_size))
+    centers = np.arange(0, n, block_size)[:, None]
+    table = _translate_table(window, centers)
+    bupu = Bupu((table >= centers) & (table < centers + block_size), centers.ravel(), window,
+                sup_bound=1.0, ragged=n % block_size != 0)
     if not bupu.validation.all_passed:   # a block straddles a factor of a product group
         raise ValueError(f"blocks of {block_size} consecutive atoms are not translates of "
                          f"one window in the group with factors {space.factors}")
@@ -202,7 +205,9 @@ def make_triangular_bupu(space, spacing):
 
     Adjacent hats interpolate linearly and sum to one; each support has
     width 2*spacing - 1, so neighbouring translates overlap (count 2).
-    Only cyclic spaces of two or more whole periods of ``spacing`` qualify.
+    Every piece holds one row: member m of the hat window sits at offset
+    m or m - n and takes (spacing - |offset|) / spacing. Only cyclic
+    spaces of two or more whole periods of ``spacing`` qualify.
     """
     n = space.size
     spacing = int(_integers(spacing, "spacing"))
@@ -211,20 +216,10 @@ def make_triangular_bupu(space, spacing):
     if spacing < 2 or n % spacing != 0 or n < 2 * spacing:
         raise ValueError(f"spacing (={spacing}) must be >= 2, divide {n} "
                          f"and be at most {n // 2}")
-    profile = (spacing - np.abs(np.arange(1 - spacing, spacing))) / spacing
-    hat = Window(space, range(2 * spacing - 1))     # the profile, placed from offset 1 - spacing
-    centers = range(0, n, spacing)
-    functions = []
-    for row in _translate_table(hat, [c - (spacing - 1) for c in centers]):
-        vals = np.zeros(n)
-        vals[row] = profile
-        functions.append(SampledFunction(space, vals))
-    bupu = Bupu(
-        functions=tuple(functions),
-        centers=tuple(centers),
-        window=translate_window(hat, -(spacing - 1)),
-        sup_bound=1.0,
-    )
+    hat = Window(space, np.arange(1 - spacing, spacing) % n)
+    offsets = (np.array(hat.members) + spacing - 1) % n - (spacing - 1)   # m, or m - n
+    profile = (spacing - np.abs(offsets)) / spacing
+    bupu = Bupu(np.tile(profile, (n // spacing, 1)), range(0, n, spacing), hat, sup_bound=1.0)
     assert bupu.validation.all_passed, "hat functions must satisfy the partition conditions"
     return bupu
 
@@ -373,11 +368,13 @@ def discrete_space_bounds(window, exp):
 
 
 def _piece_norms(f, bupu, local_exp, local_grid):
-    """i -> ||f psi_i|| on a counting index set, psi_i read on its support (condition (c))."""
+    """i -> ||f psi_i|| on a counting index set, psi_i on its unclipped atoms, ascending."""
     if not f.space.compatible_with(bupu.space):
         raise ValueError("pointwise product needs functions on the same space")
-    rows = ((np.abs(f.values[atoms] * psi.values[atoms]), f.space.weights[atoms])
-            for psi, atoms in zip(bupu.functions, _row_atoms(bupu.supports)))
+    order = np.argsort(bupu.supports, axis=1)
+    table, values = (np.take_along_axis(a, order, axis=1) for a in (bupu.supports, bupu.values))
+    rows = ((np.abs(f.values[atoms[kept]] * psi[kept]), f.space.weights[atoms[kept]])
+            for atoms, psi, kept in zip(table, values, table >= 0))
     seq = _local_norms(rows, local_exp, local_grid)
     return SampledFunction(MeasureSpace.counting(len(seq)), seq)
 

@@ -174,7 +174,9 @@ class MeasureSpace:
             t = idx + shift
             return np.where((t >= 0) & (t < self.size), t, -1)
         fac = self.factors
-        digits = zip(np.unravel_index(idx, fac), np.unravel_index(shift % self.size, fac))
+        # numpy 2.4's unravel_index misreads (N, 1) arrays past 8193 rows: unravel them flat
+        unravel = lambda a: [d.reshape(a.shape) for d in np.unravel_index(a.ravel(), fac)]
+        digits = zip(unravel(idx), unravel(shift % self.size))
         return np.ravel_multi_index(tuple(a + b for a, b in digits), fac, mode="wrap")
 
 
@@ -233,10 +235,6 @@ class SampledFunction:
     def _same_space(self, other, what):
         if not self.space.compatible_with(other.space):
             raise ValueError(f"{what} needs functions on the same space")
-
-    def pointwise_mul(self, other):
-        self._same_space(other, "pointwise product")
-        return SampledFunction(self.space, self.values * other.values)
 
     def scaled(self, c):
         return SampledFunction(self.space, c * self.values)

@@ -3,12 +3,14 @@
 Everything here is deliberately written against plain Python floats and
 loops, with a dense scan plus ternary polish instead of the package's
 coarse grid plus golden refinement, so the two sides share no code
-paths beyond the defining formulas. Two numpy models stand in for code
+paths beyond the defining formulas. Three numpy models stand in for code
 the package no longer has: ``full_gather`` is the order^2 matrix that
-``convolve`` used to build whole, and ``brute_translates`` the boolean
+``convolve`` used to build whole, ``brute_translates`` the boolean
 incidence of window translates over every atom that partitions, well-spread
-checks and the equivalence geometry used before they read translate tables.
-Both pin the bits of what replaced them.
+checks and the equivalence geometry used before they read translate tables,
+and ``dense_pieces`` a partition's pieces as one value per atom, as they
+were held before a partition kept only its values on its translates. All
+three pin the bits of what replaced them.
 """
 
 import math
@@ -163,19 +165,37 @@ def full_gather(g, factors):
     return np.ascontiguousarray(windows[rows]).reshape(g.size, g.size)
 
 
-def brute_translates(space, members, shifts):
-    """Boolean incidence [i, x]: atom x lies in members + shifts[i], moved atom by atom.
+def _moved(space, member, shift):
+    """member + shift: digit by digit on a cyclic space, None where it leaves an interval."""
+    if space.factors is not None:
+        return brute_translate(member, shift, space.factors)
+    return member + shift if 0 <= member + shift < space.size else None
 
-    Cyclic spaces add digit by digit; interval spaces drop what leaves the line.
-    """
+
+def brute_translates(space, members, shifts):
+    """Boolean incidence [i, x]: atom x lies in members + shifts[i], moved atom by atom."""
     inc = np.zeros((len(shifts), space.size), dtype=bool)
     for i, s in enumerate(shifts):
         for m in members:
-            if space.factors is not None:
-                inc[i, brute_translate(m, s, space.factors)] = True
-            elif 0 <= m + s < space.size:
-                inc[i, m + s] = True
+            x = _moved(space, m, s)
+            if x is not None:
+                inc[i, x] = True
     return inc
+
+
+def dense_pieces(bupu):
+    """The (pieces, atoms) array of the partition: psi_i as one value per atom.
+
+    ``values[i, j]`` goes to window member j moved by centers[i]; a value
+    whose atom leaves an interval has no place and is dropped.
+    """
+    dense = np.zeros((len(bupu), bupu.space.size))
+    for i, (c, row) in enumerate(zip(bupu.centers, bupu.values)):
+        for m, v in zip(bupu.window.members, row):
+            x = _moved(bupu.space, m, c)
+            if x is not None:
+                dense[i, x] = v
+    return dense
 
 
 def brute_well_spread(space, members, family):
@@ -193,10 +213,21 @@ def brute_well_spread(space, members, family):
 
 
 def brute_bupu_checks(bupu):
-    """(max overlap, support violations) from the (pieces, atoms) incidence of the supports."""
+    """(sum deviation as float.hex, sup, support violations, max overlap) of the dense pieces.
+
+    The sum adds whole pieces in piece order. The nonzero values that
+    ``dense_pieces`` drops are the support violations, and count for the
+    sup; the overlap comes from the incidence of the supports.
+    """
+    dense, total = dense_pieces(bupu), np.zeros(bupu.space.size)
+    for psi in dense:
+        total = total + psi
+    lost = [v for c, row in zip(bupu.centers, bupu.values)
+            for m, v in zip(bupu.window.members, row)
+            if v != 0.0 and _moved(bupu.space, m, c) is None]
+    sup = max([float(np.max(np.abs(dense))), *map(abs, lost)])
     inc = brute_translates(bupu.space, bupu.window.members, bupu.centers)
-    nonzero = np.array([psi.values != 0.0 for psi in bupu.functions])
-    return int(inc.sum(axis=0).max()), int(np.count_nonzero(nonzero & ~inc))
+    return float(np.max(np.abs(total - 1.0))).hex(), sup, len(lost), int(inc.sum(axis=0).max())
 
 
 def brute_overlap_geometry(qmembers, bupu):

@@ -18,7 +18,7 @@ from grandam.core import (COUNTING, GrandExponent, MeasureSpace,
 from grandam.grand import (closure_criterion, embedding_constants,
                            epsilon_profile, grand_norm, grand_sequence_norm)
 
-from oracles import (brute_convolve, brute_discrete_amalgam, brute_grand_norm)
+from oracles import brute_convolve, brute_discrete_amalgam, brute_grand_norm, dense_pieces
 
 _GRIDS = {}
 
@@ -270,7 +270,7 @@ def test_09_oracle_equivalence():
         got = discrete_amalgam_norm(f, bupu, e, e, _grid(p, theta), _grid(p, theta))
         want = brute_discrete_amalgam(
             list(f.values), list(sp.weights),
-            [list(psi.values) for psi in bupu.functions], p, theta, p, theta)
+            dense_pieces(bupu).tolist(), p, theta, p, theta)
         rel = abs(got - want) / max(want, 1e-300)
         worst = max(worst, rel)
         if rel > tol:

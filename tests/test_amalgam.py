@@ -12,7 +12,8 @@ from grandam.core import (COUNTING, GrandExponent, MeasureSpace,
                           SampledFunction, make_epsilon_grid)
 from grandam.grand import grand_norm, grand_sequence_norm
 
-from oracles import brute_amalgam, brute_discrete_amalgam, brute_grand_norm, brute_translate
+from oracles import (brute_amalgam, brute_discrete_amalgam, brute_grand_norm, brute_translate,
+                     dense_pieces)
 
 E20 = GrandExponent(2.0, 0.0)
 E21 = GrandExponent(2.0, 1.0)
@@ -144,9 +145,13 @@ def test_window_from_another_space_is_rejected(window_atoms):
     bupu = make_uniform_bupu(f.space, 4)
     with pytest.raises(ValueError, match="same space"):
         equivalence_report(f, window, bupu, E21, E21, G21, G21)
-    # a partition's window too: its mass would come from the wrong space
+    # a partition on the window's space passes its own checks; the norms refuse it
+    other = Bupu(np.ones((window_atoms // 2, 2)), range(-2, window_atoms - 2, 2), window, 1.0)
+    assert other.validation.all_passed
     with pytest.raises(ValueError, match="same space"):
-        Bupu(bupu.functions, bupu.centers, window, 1.0)
+        discrete_amalgam_norm(f, other, E21, E21, G21, G21)
+    with pytest.raises(ValueError, match="same space"):
+        equivalence_report(f, Window(f.space, (2, 3)), other, E21, E21, G21, G21)
 
 
 def test_window_on_an_equal_space_is_accepted():
@@ -179,7 +184,7 @@ def test_uniform_bupu_structure():
     assert bupu.centers == (0, 4, 8, 12)
     assert not bupu.ragged
     assert bupu.sup_bound == 1.0
-    total = sum(psi.values for psi in bupu.functions)
+    total = sum(dense_pieces(bupu))
     np.testing.assert_array_equal(total, np.ones(16))
 
 
@@ -205,8 +210,7 @@ def test_uniform_bupu_validation_report():
 
 def test_broken_partition_is_reported_not_raised():
     sp = MeasureSpace.cyclic(6)
-    half = SampledFunction.constant(sp, 0.5)
-    bupu = Bupu(functions=(half,), centers=(0,),
+    bupu = Bupu(values=np.full((1, 6), 0.5), centers=(0,),
                 window=Window(sp, tuple(range(6))), sup_bound=1.0)
     rep = validate_bupu(bupu)
     assert not rep.passed_a
@@ -214,15 +218,18 @@ def test_broken_partition_is_reported_not_raised():
     assert not rep.all_passed
 
 
-def test_partition_pieces_on_equal_spaces_are_accepted():
-    a, b = MeasureSpace.cyclic(4), MeasureSpace.cyclic(4)
-    pieces = (SampledFunction.indicator(a, [0, 1]), SampledFunction.indicator(b, [2, 3]))
-    bupu = Bupu(functions=pieces, centers=(0, 2), window=Window(a, (0, 1)), sup_bound=1.0)
+def test_partition_values_are_a_real_finite_row_per_center():
+    window = Window(MeasureSpace.cyclic(4), (0, 1))
+    bupu = Bupu(values=[[1, 1], [1, 1]], centers=(0, 2), window=window, sup_bound=1.0)
     assert bupu.validation.all_passed
-    other = SampledFunction.indicator(MeasureSpace.cyclic(4, COUNTING), [2, 3])
-    with pytest.raises(ValueError, match="share one space"):
-        Bupu(functions=(pieces[0], other), centers=(0, 2), window=Window(a, (0, 1)),
-             sup_bound=1.0)
+    assert bupu.values.dtype == float and not bupu.values.flags.writeable
+    assert bupu.space is window.space and len(bupu) == 2
+    for bad in (np.ones((2, 3)), np.ones(4), np.ones((1, 2)), [[1.0, np.nan], [1.0, 1.0]],
+                [[1.0, np.inf], [1.0, 1.0]], np.ones((2, 2), dtype=complex), [["a", "b"]] * 2):
+        with pytest.raises(ValueError, match=r"^partition values must be real and finite"):
+            Bupu(values=bad, centers=(0, 2), window=window, sup_bound=1.0)
+    with pytest.raises(ValueError, match="cannot be empty"):
+        Bupu(values=np.ones((0, 2)), centers=(), window=window, sup_bound=1.0)
 
 
 def test_partition_is_validated_once():
@@ -269,7 +276,7 @@ def test_discrete_amalgam_norm_reuses_the_validation(monkeypatch):
 def test_broken_partition_is_rejected_by_the_norms():
     sp = MeasureSpace.cyclic(6)
     half = SampledFunction.constant(sp, 0.5)
-    bupu = Bupu(functions=(half,), centers=(0,),
+    bupu = Bupu(values=np.full((1, 6), 0.5), centers=(0,),
                 window=Window(sp, tuple(range(6))), sup_bound=1.0)
     with pytest.raises(ValueError, match="fails its conditions"):
         discrete_amalgam_norm(half, bupu, E21, E21, G21, G21)
@@ -296,8 +303,8 @@ def test_uniform_blocks_must_be_group_translates(factors, straddling):
 def test_partition_spacings_may_be_integral_floats():
     sp = MeasureSpace.cyclic(8)
     assert make_uniform_bupu(sp, 4.0).centers == make_uniform_bupu(sp, 4).centers
-    assert _bits(make_triangular_bupu(sp, 4.0).functions[1].values) == _bits(
-        make_triangular_bupu(sp, 4).functions[1].values)
+    assert _bits(dense_pieces(make_triangular_bupu(sp, 4.0))[1]) == _bits(
+        dense_pieces(make_triangular_bupu(sp, 4))[1])
 
 
 def test_triangular_bupu_overlap_two():
@@ -307,7 +314,7 @@ def test_triangular_bupu_overlap_two():
     rep = validate_bupu(bupu)
     assert rep.all_passed
     assert rep.max_overlap == 2
-    total = sum(psi.values for psi in bupu.functions)
+    total = sum(dense_pieces(bupu))
     np.testing.assert_allclose(total, np.ones(16), atol=1e-15)
 
 
@@ -328,11 +335,11 @@ def test_triangular_bupu_matches_modular_hats(n, spacing):
     bupu = make_triangular_bupu(sp, spacing)
     assert bupu.centers == tuple(range(0, n, spacing))
     assert bupu.window.members == tuple(sorted({d % n for d in range(1 - spacing, spacing)}))
-    for c, psi in zip(bupu.centers, bupu.functions):
+    for c, psi in zip(bupu.centers, dense_pieces(bupu)):
         want = np.zeros(n)
         for d in range(1 - spacing, spacing):
             want[(c + d) % n] = (spacing - abs(d)) / spacing
-        assert _bits(psi.values) == _bits(want)
+        assert _bits(psi) == _bits(want)
     assert bupu.validation.all_passed
 
 
@@ -450,7 +457,7 @@ def test_discrete_amalgam_oracle_agreement():
     rng = np.random.default_rng(26)
     sp = MeasureSpace.cyclic(12)
     bupu = make_uniform_bupu(sp, 4)
-    pieces = [list(psi.values) for psi in bupu.functions]
+    pieces = dense_pieces(bupu).tolist()
     for _ in range(4):
         f = SampledFunction(sp, rng.random(12))
         got = discrete_amalgam_norm(f, bupu, E21, E21, G21, G21)

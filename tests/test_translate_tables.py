@@ -1,19 +1,22 @@
-"""Translate tables against the boolean incidence they replaced.
+"""Translate tables against the boolean incidence and dense pieces they replaced.
 
 Partition validation, well-spread checks and the equivalence geometry
-read each translate as a row of atoms. ``oracles.brute_translates``
-keeps the older model, one boolean per (translate, atom), and the checks
-built on it; the two must agree exactly, mu_diff to the last bit.
+read each translate as a row of atoms, and a partition holds its values
+on those rows only. ``oracles.brute_translates`` keeps the older model,
+one boolean per (translate, atom), ``oracles.dense_pieces`` one value
+per (piece, atom), and the checks built on them; the two must agree
+exactly, sums and mu_diff to the last bit.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grandam.amalgam import (Bupu, Window, equivalence_report, make_triangular_bupu,
-                             make_uniform_bupu, well_spread_check)
+from grandam.amalgam import (Bupu, Window, control_function, equivalence_report,
+                             make_triangular_bupu, make_uniform_bupu, well_spread_check)
 from grandam.core import GrandExponent, MeasureSpace, SampledFunction, make_epsilon_grid
 
 from oracles import (brute_bupu_checks, brute_overlap_geometry, brute_translates,
@@ -61,15 +64,17 @@ def test_validation_matches_incidence(data, space, kind):
             return
     elif kind == "triangular" and spacings:
         bupu = make_triangular_bupu(space, data.draw(st.sampled_from(spacings)))
-    else:
+    else:   # random values, nonzero ones on the clipped slots of intervals among them
         centers = data.draw(st.lists(st.integers(-2 * n, 2 * n), min_size=1, max_size=8))
+        window = Window(space, _members(data.draw, n))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
-        functions = tuple(SampledFunction(space, rng.integers(0, 2, n) * rng.random(n))
-                          for _ in centers)
-        bupu = Bupu(functions, centers, Window(space, _members(data.draw, n)), 1.0)
+        shape = (len(centers), window.size)
+        bupu = Bupu(rng.integers(0, 2, shape) * rng.uniform(-1.5, 1.5, shape), centers, window,
+                    1.0)
     rep = bupu.validation
-    assert (rep.max_overlap, rep.support_violations) == brute_bupu_checks(bupu)
-    assert bupu.supports.shape == (len(bupu), bupu.window.size)
+    assert (rep.sum_deviation.hex(), rep.sup_measured, rep.support_violations,
+            rep.max_overlap) == brute_bupu_checks(bupu)
+    assert bupu.supports.shape == bupu.values.shape == (len(bupu), bupu.window.size)
 
 
 def _comb_partition(space, block, stride):
@@ -77,9 +82,7 @@ def _comb_partition(space, block, stride):
     n = space.size
     window = Window(space, range(0, block * stride, stride))
     centers = [t + s for s in range(0, n, block * stride) for t in range(stride)]
-    functions = tuple(SampledFunction.indicator(space, [(c + m) % n for m in window.members])
-                      for c in centers)
-    return Bupu(functions, centers, window, 1.0)
+    return Bupu(np.ones((len(centers), block)), centers, window, 1.0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -126,3 +129,42 @@ def test_equivalence_report_memory_is_linear_in_atoms():
         tracemalloc.stop()
     assert rep.stats["kappa"] == 2 and rep.stats["cover_count"] == 1
     assert peak <= 4 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_uniform_partition_memory_is_linear_in_atoms():
+    # one n-atom array per piece held 32 MiB here
+    tracemalloc.start()
+    try:
+        make_uniform_bupu(MeasureSpace.cyclic(4096), 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+    bupu = make_uniform_bupu(MeasureSpace.cyclic(65536), 4)     # 8 GiB as n-atom pieces
+    assert bupu.supports[-1].tolist() == [65532, 65533, 65534, 65535]
+    assert bupu.validation.all_passed
+
+
+@pytest.mark.parametrize("space", [MeasureSpace.cyclic(20000), MeasureSpace.product((10, 40, 50))],
+                         ids=["cyclic", "product"])
+def test_translate_indices_reads_long_shift_columns(space):
+    # numpy's unravel_index once read rows 8193 on of an (N, 1) column as row 8192
+    shifts = np.random.default_rng(space.size).integers(-space.size, 2 * space.size, 20000)
+    got = space.translate_indices(np.array([[0, 7]]), shifts[:, None])
+    want = [[space.translate_indices(0, s), space.translate_indices(7, s)] for s in shifts]
+    assert got.tolist() == np.array(want).tolist()
+
+
+def test_control_function_past_8193_atoms():
+    # theta = 0 on one atom of weight 2^-14: the eps -> 0 value |f(x)| * 2^-7, exactly
+    n = 16384
+    sp = MeasureSpace.cyclic(n)
+    control = control_function(SampledFunction(sp, np.arange(float(n))), Window(sp, (0,)), E,
+                               GRID)
+    assert control.values.tolist() == (np.arange(float(n)) / 128).tolist()
+
+
+def test_well_spread_singletons_past_8193_atoms():
+    sp = MeasureSpace.cyclic(16384)
+    rep = well_spread_check(range(sp.size), Window(sp, (0,)))
+    assert (rep.is_u_dense, rep.separation_partition_count) == (True, 1)
