@@ -517,8 +517,10 @@ def equivalence_report(f, qwindow, bupu, local_exp, global_exp,
     cont = amalgam_norm(f, qwindow, local_exp, global_exp, local_grid, global_grid)
     seq = _piece_norms(f, bupu, local_exp, local_grid)
     disc = grand_sequence_norm(seq, global_exp, global_grid)
-    step_fn = step_function_from_coefficients(seq.values, bupu.window, bupu.centers)
-    step = grand_norm(step_fn, global_exp, global_grid)
+    # validation proved the supports disjoint, and a cyclic space clips no translate
+    step_vals = np.zeros(bupu.space.size)
+    step_vals[bupu.supports] = seq.values[:, None]
+    step = grand_norm(SampledFunction(bupu.space, step_vals), global_exp, global_grid)
 
     kappa, mu_diff, cover_count = _overlap_geometry(qwindow, bupu)
 

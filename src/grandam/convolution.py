@@ -191,8 +191,8 @@ def submultiplicativity_check(f, g, group, exp, grid=None):
     gives and ``lp_norm(h, p - eps)`` returns. For uniform f and g on
     Z_2048 at p = 2, theta = 1 that is 192 r-norms, against 318 for three
     full tables: the pruned suprema, each starting from the top of the
-    ladder, evaluate 12 grid points between them, and the table the other
-    180.
+    ladder, evaluate 6 grid points between them, and the table the other
+    186.
     """
     grid = _resolve_grid(exp, grid)
     conv = convolve(f, g, group)

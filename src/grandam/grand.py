@@ -25,9 +25,10 @@ which costs no r-norm, drops the low ladder under it.
 evaluates the grid points they left out, for its per-eps table. On 2^16
 uniform atoms with the default 64-point grid the full table takes
 106-108 r-norm evaluations; pruned, counting weights take 2-3 and
-probability weights 3 at theta = 0 and 3-6 at theta > 0, where the
+probability weights 3 at theta = 0 and 2-3 at theta > 0, where the
 maximum sits at the top of the ladder and a bound cut into pieces proves
-that no polish probe can beat it. ``_norm_sup`` holds the proof.
+that no polish probe, and no grid point below the top, can beat it.
+``_norm_sup`` holds the proof.
 """
 
 import math
@@ -291,7 +292,15 @@ def _prune(ladder, zero_limit, delta, tol):
             bound = bounds.get((i, j))
             if bound is None:
                 bound = bounds[i, j] = ladder.gap_bound(i, j)
-            if j - i > 1 and not bound * (1.0 + _SLACK) < floor:
+            open_gap = j - i > 1 and not bound * (1.0 + _SLACK) < floor
+            if open_gap and j == n - 1 and vals[j] == grid_best:
+                # the top holds the best grid value so far: the top-end
+                # certificate covers the gap, and is kept only if it closes it
+                certified = ladder.top_end_bound(i, tol, floor)
+                open_gap = not certified * (1.0 + _SLACK) < floor
+                if not open_gap:
+                    bounds[i, j] = certified
+            if open_gap:
                 mids.append((i + j) // 2)
         if not mids:
             break
@@ -306,7 +315,10 @@ def _prune(ladder, zero_limit, delta, tol):
                 or (k < n - 1 and vals[k + 1] is not None and vals[k + 1] > v)):
             continue   # an evaluated neighbour lies above: not a local maximum
         if k == top == n - 1 and n > 1:
-            bound = ladder.top_end_bound(done[pos - 1], tol, floor)
+            # a certificate the rounds kept on the top's left gap covers its bracket
+            bound = bounds[done[pos - 1], k]
+            if not bound * (1.0 + _SLACK) < floor:
+                bound = ladder.top_end_bound(done[pos - 1], tol, floor)
         else:
             sides = [bounds[done[pos - 1], k]] if pos > 0 else []
             if pos + 1 < len(done):
@@ -386,6 +398,25 @@ def _norm_sup(abs_vals, weights, exp, grid, table=False):
     A W below the normal range, where W^(1/r) may be subnormal and lose
     its relative accuracy, gives no free bound. The dropped region counts
     as the left gap of point k.
+
+    A gap (eps_i, top) that the two-factor bound cannot drop, while the
+    top grid point holds the best grid value so far, goes to the top-end
+    certificate (below) before it is bisected. The certificate bounds
+    [eps_i, b], and b lies above the top's lower neighbour (the probe gap
+    is less than (1 - phi) times the top bracket's width), so it covers
+    every grid point of the gap and every probe of the top polish. It
+    becomes the gap's bound only when it closes the gap, and the plan
+    reuses it for the top, whose final left neighbour is then i: no point
+    in a dropped gap is evaluated. Two points keep this sound:
+    - A certificate that closed a gap at an earlier, lower floor stays
+      valid. The floor only guides where the pieces are cut; a
+      certificate that closed returns its largest piece bound over pieces
+      that reach b, a bound on all of [eps_i, b] whatever the floor. And
+      the floor only rises, since best is a maximum over a growing set of
+      values, so the bound stays under every later floor.
+    - A certificate that failed is never kept. It stops cutting at the
+      first piece whose bound reaches the floor, before it has covered
+      the gap, so its value bounds only part of the region.
 
     After the rounds, every point not evaluated lies in a dropped gap or in
     the region the free bound dropped, and is below the best value, so the

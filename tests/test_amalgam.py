@@ -254,15 +254,15 @@ def _count_translates(monkeypatch):
 
 
 def test_equivalence_report_builds_one_incidence(monkeypatch):
-    # the factory already validated the partition and built its supports;
-    # the report adds the Q translates of the control function and of the
-    # geometry, and the step function's translates of the partition window
+    # the factory already validated the partition and built its supports,
+    # which the step function reuses; the report adds the Q translates of
+    # the control function and of the geometry
     sp = MeasureSpace.cyclic(16)
     bupu = make_uniform_bupu(sp, 4)
     q = Window(sp, (0, 1, 2, 3))
     calls = _count_translates(monkeypatch)
     equivalence_report(SampledFunction.indicator(sp, [0]), q, bupu, E21, E21, G21, G21)
-    assert [args[0] for args in calls] == [q, bupu.window, q]
+    assert [args[0] for args in calls] == [q, q]
 
 
 def test_discrete_amalgam_norm_reuses_the_validation(monkeypatch):
