@@ -316,7 +316,7 @@ def _disjoint_full_translates(window, family):
     if clipped.size:
         raise ValueError(f"translate by {family[clipped[0]]} clips the window; "
                          "family is not usable")
-    if np.unique(table).size != table.size:
+    if np.bincount(table.ravel(), minlength=1).max() > 1:
         raise ValueError("window translates overlap; family is not separated")
     return table
 
@@ -422,7 +422,8 @@ def _overlap_geometry(qwindow, bupu):
     ids = np.sort(piece[q_table], axis=1)       # row x: the piece of each atom of Q + x
     kappa = int(np.max(1 + np.count_nonzero(np.diff(ids, axis=1), axis=1)))
 
-    pairs = np.unique(ids * sp.size + sp.points[:, None])   # (piece, x), by piece then x
+    keys = np.sort(ids * sp.size + sp.points[:, None], axis=None)
+    pairs = keys[np.diff(keys, prepend=-1) != 0]           # (piece, x), by piece then x
     xs = np.split(pairs % sp.size, np.flatnonzero(np.diff(pairs // sp.size)) + 1)
     mu_diff = max(float(np.sum(sp.weights[x])) for x in xs)
 

@@ -15,7 +15,7 @@ inequality holds with constant (p - 1)^(-theta).
 
 Convolutions are evaluated by direct summation: row x of the matrix
 g(x - y) is a window of a strided view over g laid out along the group's
-factor axes, and each call copies 64 such rows at a time into one
+factor axes, and each call copies up to 64 such rows at a time into one
 matrix-vector product. Memory is O(64 * order + 2^k * order) for k
 factor axes: one block of rows plus the copy of g doubled along each
 of its k axes, which the view reads. On a cyclic group or a product of a few
@@ -23,10 +23,13 @@ factors that stays far below order^2; on a product of many factors of
 two, such as Z_2^11, the doubled copy itself reaches order^2. A block
 never has a single row: numpy sends a one-row product to a plain dot,
 whose summation order differs from the matrix-vector kernel, so a lone
-last row joins the block before it. Every output then keeps the bits of
-the single full-matrix product taken with one BLAS thread, with any
-number of threads up to about 7 000 atoms. Above that OpenBLAS threads a
-block, so the bits depend on the thread count (Z_8193 differs between
+last row joins the block before it. OpenBLAS threads a product of 460 800
+elements or more, so from about 7 000 atoms on the blocks shrink (to a
+multiple of 4 rows, at least 8) and stay below that size up to 51 200
+atoms. Every output then keeps the bits of the single full-matrix product
+taken with one BLAS thread, with any number of threads up to 51 200 atoms
+(Z_8193 and Z_3 x Z_2731 among them). Above that a block of 8 rows is
+threaded, so the bits depend on the thread count (Z_60001 differs between
 one and two threads). At the sizes treated here this is exact,
 obviously correct, and fast enough that no transform tricks are worth
 their roundoff.
@@ -91,13 +94,21 @@ class FiniteAbelianGroup:
 
 
 # Rows of g(x - y) gathered per matrix-vector product. Heights of 8 to 128
-# keep the kernel's bits; heights of 2 or 3 rows do not.
+# keep the kernel's bits; heights of 2 or 3 rows do not. OpenBLAS threads
+# a matrix-vector product of _THREADED_GEMV elements or more.
 _BLOCK_ROWS = 64
+_THREADED_GEMV = 460_800
 
 
 def _row_blocks(n):
-    """[start, end) row ranges of at most _BLOCK_ROWS + 1 rows, none of one row."""
-    starts = list(range(0, n, _BLOCK_ROWS))
+    """[start, end) row ranges, none of one row: a lone last row joins the block before it.
+
+    Blocks take a multiple of 4 rows (every row on one gemv kernel path)
+    from 8 to _BLOCK_ROWS, and stay below _THREADED_GEMV elements, the
+    absorbed row included, up to 51 200 atoms.
+    """
+    height = max(8, min(_BLOCK_ROWS, (_THREADED_GEMV // n - 1) // 4 * 4))
+    starts = list(range(0, n, height))
     if n - starts[-1] == 1 and len(starts) > 1:
         starts.pop()
     return zip(starts, starts[1:] + [n])

@@ -158,7 +158,7 @@ class MeasureSpace:
                                  and np.array_equal(other.weights, self.weights))
 
     # ------------------------------------------------------------------
-    # translation: the one place that knows the mixed-radix layout
+    # translation: reads the row-major mixed-radix layout (as convolve does)
 
     def translate_indices(self, indices, shift):
         """Atoms ``indices`` shifted by ``shift``; -1 marks atoms clipped away.

@@ -1,10 +1,12 @@
 """File formats: sampled-function tables, profile CSVs, canonical reports.
 
-Function files carry one atom per row as (index, weight, value), either
-as CSV with a header or as JSON lines with keys i/w/v. Reports are
-emitted through a small canonical JSON writer (sorted keys, seventeen
-significant digits for floats, LF line endings) so that identical inputs
-always produce byte-identical output.
+Function files carry one atom per line as (index, weight, value), either
+as CSV with a header or as JSON lines with keys i/w/v. A row parser per
+format reads one line; the loader parses every line, then checks the rows
+in file order and places them in one pass. Reports are emitted through
+a small canonical JSON writer (sorted keys, seventeen significant digits
+for floats, LF line endings) so that identical inputs always produce
+byte-identical output.
 """
 
 import json
@@ -29,28 +31,21 @@ def sniff_format(path, fmt=None):
     return CSV
 
 
-def _parse_rows_csv(lines):
-    rows = []
-    for lineno, raw in lines:
-        line = raw.strip()
-        if not line:
-            continue
-        if line.lower().replace(" ", "") == "index,weight,value":
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 3 comma-separated fields")
-        try:
-            idx = int(parts[0])
-            w = float(parts[1])
-            v = float(parts[2])
-        except ValueError as err:
-            raise ValueError(f"line {lineno}: {err}") from None
-        rows.append((lineno, idx, w, v))
-    return rows
+def _csv_row(line, lineno):
+    """(index, weight, value) of a stripped CSV line, or None for the header."""
+    parts = line.split(",")
+    try:
+        if len(parts) == 3:
+            return int(parts[0]), float(parts[1]), float(parts[2])
+        err = "expected 3 comma-separated fields"
+    except ValueError as exc:
+        err = exc
+    if line.lower().replace(" ", "") != "index,weight,value":
+        raise ValueError(f"line {lineno}: {err}")
 
 
 _NUMBER = (int, float)   # the JSON number types; booleans do not count as numbers
+_KEYS = {"i", "w", "v"}    # the keys of a JSON line
 
 
 def typed_value(value, kind, where):
@@ -65,62 +60,53 @@ def typed_value(value, kind, where):
     return kind(value)
 
 
-def _parse_rows_jsonl(lines):
-    rows = []
-    for lineno, raw in lines:
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"line {lineno}: invalid JSON ({err.msg})") from None
-        if not isinstance(obj, dict) or set(obj) != {"i", "w", "v"}:
-            raise ValueError(f"line {lineno}: expected an object with keys i, w, v")
-        i, w, v = obj["i"], obj["w"], obj["v"]
-        if type(i) is not int or type(w) not in _NUMBER or type(v) not in _NUMBER:
-            for key, kind in (("i", int), ("w", float), ("v", float)):
-                typed_value(obj[key], kind, f"line {lineno}: {key}")
-        rows.append((lineno, i, float(w), float(v)))
-    return rows
+def _jsonl_row(line, lineno):
+    """(index, weight, value) of a stripped JSON line."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"line {lineno}: invalid JSON ({err.msg})") from None
+    if not isinstance(obj, dict) or obj.keys() != _KEYS:
+        raise ValueError(f"line {lineno}: expected an object with keys i, w, v")
+    i, w, v = obj["i"], obj["w"], obj["v"]
+    if type(i) is not int or type(w) not in _NUMBER or type(v) not in _NUMBER:
+        for key, kind in (("i", int), ("w", float), ("v", float)):
+            typed_value(obj[key], kind, f"line {lineno}: {key}")
+    return i, float(w), float(v)
 
 
 def load_function(path, fmt=None):
     """Read a sampled function (and its measure space) from a table file.
 
-    The space is cyclic (Z_n) with the file's weights.
-
-    Indices must enumerate 0..n-1 without gaps or repeats, and weights
-    must be positive; every complaint names the offending line.
+    The space is cyclic (Z_n) with the file's weights. Indices must
+    enumerate 0..n-1 without gaps or repeats, and weights must be
+    positive; every complaint names the offending line.
     """
-    fmt = sniff_format(path, fmt)
+    row = _csv_row if sniff_format(path, fmt) == CSV else _jsonl_row
+    linenos, rows = [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = list(enumerate(fh.readlines(), start=1))
-    rows = _parse_rows_csv(lines) if fmt == CSV else _parse_rows_jsonl(lines)
-    if not rows:
+        for lineno, raw in enumerate(fh.readlines(), start=1):   # all decoded before any is parsed
+            if (line := raw.strip()) and (parsed := row(line, lineno)):
+                linenos.append(lineno)
+                rows.append(parsed)
+    n = len(rows)
+    if not n:
         raise ValueError(f"{path}: no rows")
+    weights, values = np.empty(n), np.empty(n)
     seen = {}
-    for lineno, idx, w, v in rows:
-        if idx in seen:
-            raise ValueError(f"line {lineno}: duplicate index {idx} "
-                             f"(first seen on line {seen[idx]})")
-        seen[idx] = lineno
+    for lineno, (idx, w, v) in zip(linenos, rows):
+        if (first := seen.setdefault(idx, lineno)) != lineno:
+            raise ValueError(f"line {lineno}: duplicate index {idx} (first seen on line {first})")
         if not w > 0.0:
             raise ValueError(f"line {lineno}: weight (={w}) must be > 0")
         if not (math.isfinite(w) and math.isfinite(v)):
             raise ValueError(f"line {lineno}: weight and value must be finite")
-    n = len(rows)
-    expected = set(range(n))
-    if set(seen) != expected:
-        missing = sorted(expected - set(seen))[:3]
+        if 0 <= idx < n:   # any other index leaves a gap, reported below
+            weights[idx], values[idx] = w, v
+    missing = sorted(set(range(n)).difference(seen))[:3]
+    if missing:
         raise ValueError(f"indices must enumerate 0..{n - 1}; missing {missing}")
-    weights = np.empty(n)
-    values = np.empty(n)
-    for _, idx, w, v in rows:
-        weights[idx] = w
-        values[idx] = v
-    space = MeasureSpace(weights)
-    return SampledFunction(space, values)
+    return SampledFunction(MeasureSpace(weights), values)
 
 
 def write_function(f, path, fmt=None):

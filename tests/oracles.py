@@ -10,13 +10,19 @@ incidence of window translates over every atom that partitions, well-spread
 checks and the equivalence geometry used before they read translate tables,
 and ``dense_pieces`` a partition's pieces as one value per atom, as they
 were held before a partition kept only its values on its translates. All
-three pin the bits of what replaced them.
+three pin the bits of what replaced them. ``reference_load_function`` is
+the function-file reader as it was with one line loop per format and
+separate passes that check and fill the rows; it pins every outcome of the
+reader that replaced it, arrays and error messages alike.
 """
 
+import json
 import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from grandam.core import MeasureSpace, SampledFunction
 
 SCAN_POINTS = 4096
 TINY_FRACTION = 1e-12
@@ -249,3 +255,85 @@ def brute_overlap_geometry(qmembers, bupu):
         uncovered &= ~q[int(np.argmax(np.count_nonzero(q & uncovered, axis=1)))]
         count += 1
     return kappa, mu_diff, count
+
+
+def _parse_rows_csv(lines):
+    rows = []
+    for lineno, raw in lines:
+        line = raw.strip()
+        if not line:
+            continue
+        if line.lower().replace(" ", "") == "index,weight,value":
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ValueError(f"line {lineno}: expected 3 comma-separated fields")
+        try:
+            idx = int(parts[0])
+            w = float(parts[1])
+            v = float(parts[2])
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: {err}") from None
+        rows.append((lineno, idx, w, v))
+    return rows
+
+
+_NUMBER = (int, float)
+
+
+def _typed_value(value, kind, where):
+    accepted = _NUMBER if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"{where} (={value!r}) must be of type {kind.__name__}")
+    return kind(value)
+
+
+def _parse_rows_jsonl(lines):
+    rows = []
+    for lineno, raw in lines:
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"line {lineno}: invalid JSON ({err.msg})") from None
+        if not isinstance(obj, dict) or set(obj) != {"i", "w", "v"}:
+            raise ValueError(f"line {lineno}: expected an object with keys i, w, v")
+        i, w, v = obj["i"], obj["w"], obj["v"]
+        if type(i) is not int or type(w) not in _NUMBER or type(v) not in _NUMBER:
+            for key, kind in (("i", int), ("w", float), ("v", float)):
+                _typed_value(obj[key], kind, f"line {lineno}: {key}")
+        rows.append((lineno, i, float(w), float(v)))
+    return rows
+
+
+def reference_load_function(path, fmt):
+    """The sampled function in a ``fmt`` ("csv" or "jsonl") table file."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        lines = list(enumerate(fh.readlines(), start=1))
+    rows = _parse_rows_csv(lines) if fmt == "csv" else _parse_rows_jsonl(lines)
+    if not rows:
+        raise ValueError(f"{path}: no rows")
+    seen = {}
+    for lineno, idx, w, v in rows:
+        if idx in seen:
+            raise ValueError(f"line {lineno}: duplicate index {idx} "
+                             f"(first seen on line {seen[idx]})")
+        seen[idx] = lineno
+        if not w > 0.0:
+            raise ValueError(f"line {lineno}: weight (={w}) must be > 0")
+        if not (math.isfinite(w) and math.isfinite(v)):
+            raise ValueError(f"line {lineno}: weight and value must be finite")
+    n = len(rows)
+    expected = set(range(n))
+    if set(seen) != expected:
+        missing = sorted(expected - set(seen))[:3]
+        raise ValueError(f"indices must enumerate 0..{n - 1}; missing {missing}")
+    weights = np.empty(n)
+    values = np.empty(n)
+    for _, idx, w, v in rows:
+        weights[idx] = w
+        values[idx] = v
+    space = MeasureSpace(weights)
+    return SampledFunction(space, values)

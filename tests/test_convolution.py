@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -129,6 +130,34 @@ def test_blocked_convolve_keeps_the_full_gather_bits():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _hashes():
+    """SHA-256 of ``convolve`` on groups past 7 000 atoms, one of them with a one-row tail."""
+    out = []
+    for factors in [(8193,), (8217,), (3, 2731)]:
+        g = FiniteAbelianGroup(factors)
+        rng = np.random.default_rng(39)
+        f = SampledFunction(g.space, rng.uniform(-1.0, 1.0, g.order))
+        h = SampledFunction(g.space, rng.uniform(-1.0, 1.0, g.order))
+        out.append(hashlib.sha256(convolve(f, h, g).values.tobytes()).hexdigest())
+    return out
+
+
+def test_convolve_bits_do_not_depend_on_the_blas_thread_count():
+    # one block of 64 rows of Z_8193 is past the size at which OpenBLAS
+    # threads a matrix-vector product; the blocks shrink to stay below it
+    src = Path(grandam.__file__).resolve().parents[1]
+    hashes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "from test_convolution import _hashes; print(_hashes())"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        hashes.append(proc.stdout)
+    assert hashes[0] == hashes[1]
 
 
 @pytest.mark.parametrize("factors", [(4096,), (64, 64), (2,) * 11])

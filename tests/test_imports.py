@@ -9,12 +9,16 @@ dead-code checks. Names that ``__init__.py`` imports to re-export are
 exempt from the first rule. The benchmark scripts read the package by
 name (``ga.make_uniform_bupu``, the tracer's ``module.function`` list);
 each of those names must resolve, so a change that removes one breaks a
-test here before it breaks a benchmark run.
+test here before it breaks a benchmark run. Last, no subcommand imports
+``numpy.ma``, whose import alone costs about 10 ms of a process.
 """
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -126,3 +130,30 @@ def test_benchmark_reads_names_the_package_has(path):
         for attr in chain:
             assert hasattr(target, attr), f"{path.name} reads {root}.{'.'.join(chain)}"
             target = getattr(target, attr)
+
+
+_NO_MASKED_ARRAYS = """
+import sys, tempfile
+import numpy as np
+from test_golden import CASES, run_case
+from grandam import (GrandExponent, MeasureSpace, SampledFunction, Window,
+                     discrete_space_norm, step_function_from_coefficients)
+for name in sorted(CASES):
+    with tempfile.TemporaryDirectory() as tmp:
+        run_case(name, tmp)
+u, family = Window(MeasureSpace.cyclic(12), (0, 1, 2)), [0, 3, 6, 9]
+lam = SampledFunction(MeasureSpace.counting(4), np.arange(4.0))
+discrete_space_norm(lam, u, family, GrandExponent(2.0, 1.0))
+step_function_from_coefficients(lam.values, u, family)
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
+"""
+
+
+def test_no_subcommand_imports_masked_arrays():
+    # np.unique imports numpy.ma on its first call; the golden cases run
+    # every subcommand, and the two step helpers check disjoint translates
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), str(TESTS)]))
+    proc = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

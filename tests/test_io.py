@@ -1,11 +1,19 @@
+import json
+import math
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grandam.core import (CYCLIC, GrandExponent, INTERVAL, MeasureSpace,
                           SampledFunction, make_epsilon_grid)
 from grandam.grand import epsilon_profile
 from grandam.iofmt import (canonical_json, load_function, profile_csv_text,
                            render_report, sniff_format, write_function)
+
+from oracles import reference_load_function
 
 
 def test_sniff_format():
@@ -115,6 +123,101 @@ def test_blank_lines_ignored(tmp_path):
     path.write_text("index,weight,value\n\n0,1.0,2.0\n\n1,1.0,3.0\n")
     f = load_function(path)
     assert list(f.values) == [2.0, 3.0]
+
+
+# Fields and their defects: a non-number (a boolean, null or list in JSON),
+# a non-positive or non-finite number, a negative, huge or fractional
+# index, an integer too large for a float.
+_GOOD_WEIGHT = st.floats(1e-3, 1e3)
+_GOOD_VALUE = st.floats(-1e3, 1e3)
+_BAD_FIELD = st.sampled_from(["abc", "", "1.2.3", "0x10", True, None, [1]])
+_BAD_WEIGHT = st.sampled_from([0.0, -1.0, -0.0, math.inf, -math.inf, math.nan, 10 ** 400])
+_BAD_VALUE = st.sampled_from([math.inf, -math.inf, math.nan])
+_BAD_INDEX = st.sampled_from([-1, 9, 12, 10 ** 30, 2 ** 63, 1.5])
+_HEADERS = ["index,weight,value", "Index, Weight, Value", " INDEX ,weight,VaLuE",
+            "index,weight", "idx,weight,value", "index;weight;value"]
+_BLANKS = ["", "   ", "\t"]
+
+
+def _csv_field(x):
+    return repr(x) if isinstance(x, float) else str(x)
+
+
+def _shape_defects(fmt, line, obj):
+    """Lines of the wrong shape in place of ``line``: a field too many or too few,
+    spaced fields for CSV; cut, list-shaped or with wrong keys for JSON."""
+    if fmt == "csv":
+        return [line + ",1.0", line.rsplit(",", 1)[0], line.replace(",", " , ")]
+    return [line[:-1], line[:len(line) // 2], json.dumps(list(obj.values())),
+            json.dumps({**obj, "x": 1}), json.dumps({"i": obj["i"], "w": obj["w"]})]
+
+
+@st.composite
+def _defective_function_files(draw):
+    """(format, bytes): a table of zero to eight rows with up to four defects."""
+    fmt = draw(st.sampled_from(["csv", "jsonl"]))
+    n = draw(st.integers(0, 8))
+    rows = [[i, draw(_GOOD_WEIGHT), draw(_GOOD_VALUE)] for i in draw(st.permutations(range(n)))]
+    kinds = st.sampled_from(["duplicate", "index", "weight", "value", "field", "shape"])
+    defects = draw(st.lists(kinds, max_size=4)) if n else []
+    for defect in defects:
+        k = draw(st.integers(0, n - 1))
+        if defect == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[k]))
+        elif defect == "field":
+            rows[k][draw(st.integers(0, 2))] = draw(_BAD_FIELD)
+        elif defect != "shape":
+            field = ["index", "weight", "value"].index(defect)
+            rows[k][field] = draw((_BAD_INDEX, _BAD_WEIGHT, _BAD_VALUE)[field])
+    objs = [dict(zip("iwv", r)) for r in rows]
+    lines = ([",".join(map(_csv_field, r)) for r in rows] if fmt == "csv"
+             else [json.dumps(obj) for obj in objs])
+    for _ in range(defects.count("shape")):
+        k = draw(st.integers(0, len(lines) - 1))
+        lines[k] = draw(st.sampled_from(_shape_defects(fmt, lines[k], objs[k])))
+    for _ in range(draw(st.integers(0, 3))):
+        extra = draw(st.sampled_from(_HEADERS + _BLANKS if fmt == "csv" else _BLANKS))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    end = draw(st.sampled_from(["\n", "\r\n", ""]))
+    data = (end or "\n").join(lines).encode() + end.encode()
+    if draw(st.integers(0, 9)) == 9:       # not UTF-8
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return fmt, data
+
+
+def _outcome(read, path, fmt):
+    """The arrays a reader returns, as bytes, or its exception's type and message."""
+    try:
+        f = read(path, fmt)
+    except Exception as err:   # every exception, whatever its type, is an outcome
+        return type(err), str(err)
+    return f.space.weights.tobytes(), f.values.tobytes(), f.space.geometry
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_defective_function_files())
+def test_reader_matches_the_reference_reader(tmp_path_factory, case):
+    fmt, data = case
+    path = tmp_path_factory.mktemp("r") / f"f.{fmt}"
+    path.write_bytes(data)
+    assert _outcome(load_function, path, fmt) == _outcome(reference_load_function, path, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_a_long_file_fails_on_its_bytes_before_its_rows(tmp_path, fmt):
+    # a bad field on line 2 and bytes that are not UTF-8 at the very end:
+    # decoding fails before any line is parsed, on both readers
+    rng = random.Random(17)
+    rows = [(i, rng.uniform(0.1, 2.0), rng.uniform(-1.0, 1.0)) for i in range(4000)]
+    rows[1] = (1, "one", 0.5)
+    lines = [",".join(map(_csv_field, r)) if fmt == "csv" else json.dumps(dict(zip("iwv", r)))
+             for r in rows]
+    path = tmp_path / f"f.{fmt}"
+    path.write_bytes(("\n".join(lines) + "\n").encode() + b"\xfe\n")
+    got = _outcome(load_function, path, fmt)
+    assert got == _outcome(reference_load_function, path, fmt)
+    assert got[0] is UnicodeDecodeError
 
 
 def test_profile_csv_text_shape():
