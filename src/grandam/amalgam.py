@@ -269,16 +269,11 @@ def validate_bupu(bupu):
 
 @dataclass(frozen=True)
 class WellSpreadReport:
-    """U-density of a translate family and the count of its separated subfamilies."""
+    """U-density of a translate family, which is well spread exactly when it is
+    U-dense, and the count of the disjoint subfamilies it splits into (any finite one does)."""
 
     is_u_dense: bool
     separation_partition_count: int
-
-    @property
-    def is_well_spread(self):
-        """U-density alone: a finite family is always relatively separated, as
-        it splits into ``separation_partition_count`` disjoint subfamilies."""
-        return self.is_u_dense
 
 
 def well_spread_check(family, window):

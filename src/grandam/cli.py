@@ -102,10 +102,11 @@ class RunConfig:
         if path is None:
             return cls()
         with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise ValueError(f"{path}: invalid JSON ({err.msg})") from None
+            text = fh.read()
+        try:
+            data = json.loads(text)
+        except ValueError as err:   # a JSONDecodeError, or an integer past the digit limit
+            raise ValueError(f"{path}: invalid JSON ({getattr(err, 'msg', err)})") from None
         if not isinstance(data, dict):
             raise ValueError(f"{path}: config must be a JSON object")
         return cls.from_dict(data)

@@ -86,12 +86,6 @@ class FiniteAbelianGroup:
     def is_probability(self):
         return self.space.is_probability
 
-    def identity_element(self):
-        """The delta at 0 scaled so its Haar integral is one."""
-        vals = np.zeros(self.order)
-        vals[0] = 1.0 / self.haar_weight
-        return SampledFunction(self.space, vals)
-
 
 # Rows of g(x - y) gathered per matrix-vector product. Heights of 8 to 128
 # keep the kernel's bits; heights of 2 or 3 rows do not. OpenBLAS threads

@@ -206,10 +206,6 @@ class SampledFunction:
         return cls(space, np.full(space.size, value))
 
     @classmethod
-    def zero(cls, space):
-        return cls(space, np.zeros(space.size))
-
-    @classmethod
     def indicator(cls, space, members):
         vals = np.zeros(space.size)
         vals[_integers(members, "members")] = 1.0
@@ -217,35 +213,6 @@ class SampledFunction:
 
     def abs_values(self):
         return np.abs(self.values)
-
-    def restricted(self, members):
-        """Pointwise product with the indicator of ``members``."""
-        mask = np.zeros(self.space.size, dtype=bool)
-        mask[_integers(members, "members")] = True
-        return SampledFunction(self.space, np.where(mask, self.values, 0.0))
-
-    def translated(self, shift):
-        """(T_s f)(x) = f(x - s); zero extension on interval spaces."""
-        target = self.space.translate_indices(self.space.points, shift)
-        kept = target >= 0
-        out = np.zeros_like(self.values)
-        out[target[kept]] = self.values[kept]
-        return SampledFunction(self.space, out)
-
-    def _same_space(self, other, what):
-        if not self.space.compatible_with(other.space):
-            raise ValueError(f"{what} needs functions on the same space")
-
-    def scaled(self, c):
-        return SampledFunction(self.space, c * self.values)
-
-    def __add__(self, other):
-        self._same_space(other, "sum")
-        return SampledFunction(self.space, self.values + other.values)
-
-    def __sub__(self, other):
-        self._same_space(other, "difference")
-        return SampledFunction(self.space, self.values - other.values)
 
 
 @dataclass(frozen=True)

@@ -46,33 +46,39 @@ def _csv_row(line, lineno):
 
 _NUMBER = (int, float)   # the JSON number types; booleans do not count as numbers
 _KEYS = {"i", "w", "v"}    # the keys of a JSON line
+_KINDS = (("i", int), ("w", float), ("v", float))
 
 
 def typed_value(value, kind, where):
     """A parsed JSON ``value`` checked against ``kind`` (int, float, str or list).
 
-    Integers pass as floats; booleans pass as neither. ``where`` names the
-    offending key or line in the error.
+    Integers pass as floats, unless they leave float range; booleans pass
+    as neither. ``where`` names the offending key or line in the error.
     """
     accepted = _NUMBER if kind is float else kind
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ValueError(f"{where} (={value!r}) must be of type {kind.__name__}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ValueError(f"{where} is an integer too large for a float") from None
 
 
 def _jsonl_row(line, lineno):
     """(index, weight, value) of a stripped JSON line."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as err:
-        raise ValueError(f"line {lineno}: invalid JSON ({err.msg})") from None
+    except ValueError as err:   # a JSONDecodeError, or an integer past Python's digit limit
+        raise ValueError(f"line {lineno}: invalid JSON ({getattr(err, 'msg', err)})") from None
     if not isinstance(obj, dict) or obj.keys() != _KEYS:
         raise ValueError(f"line {lineno}: expected an object with keys i, w, v")
     i, w, v = obj["i"], obj["w"], obj["v"]
-    if type(i) is not int or type(w) not in _NUMBER or type(v) not in _NUMBER:
-        for key, kind in (("i", int), ("w", float), ("v", float)):
-            typed_value(obj[key], kind, f"line {lineno}: {key}")
-    return i, float(w), float(v)
+    if type(i) is int and type(w) in _NUMBER and type(v) in _NUMBER:
+        try:
+            return i, float(w), float(v)
+        except OverflowError:
+            pass   # typed_value names the key
+    return tuple(typed_value(obj[key], kind, f"line {lineno}: {key}") for key, kind in _KINDS)
 
 
 def load_function(path, fmt=None):

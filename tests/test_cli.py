@@ -15,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grandam.amalgam import Window, amalgam_norm
-from grandam.cli import RunConfig, main
+from grandam.cli import _LAYOUT, RunConfig, main
 from grandam.core import (COUNTING, GrandExponent, MeasureSpace,
                           SampledFunction, make_epsilon_grid)
 from grandam.grand import grand_norm
 from grandam.iofmt import write_function
+
+from oracles import scaled
 
 
 def run_cli(*args):
@@ -340,7 +342,7 @@ def test_norm_of_huge_values_is_finite(tmp_path):
     code, out, err = run_in_process(tmp_path, {}, "norm", "--f", str(tmp_path / "big.csv"))
     assert code == 0, err
     e = GrandExponent(2.0, 1.0)
-    want = 1e160 * grand_norm(f.scaled(1e-160), e, make_epsilon_grid(e))
+    want = 1e160 * grand_norm(scaled(f, 1e-160), e, make_epsilon_grid(e))
     assert json.loads(out)["result"]["value"] == pytest.approx(want, rel=1e-12)
 
 
@@ -432,6 +434,10 @@ def test_zero_trials_is_an_input_error(tmp_path, command):
     assert "trials" in json.loads(err)["error"]
 
 
+_HUGE = 10 ** 400                   # leaves float range, within Python's digit limit
+_PAST_DIGIT_LIMIT = "1" + "0" * 5000  # more digits than Python converts to an int
+
+
 @pytest.mark.parametrize("config, key", [
     ({"space": 5}, "'space' must be an object"),
     ({"eps_grid": []}, "'eps_grid' must be an object"),
@@ -444,6 +450,8 @@ def test_zero_trials_is_an_input_error(tmp_path, command):
     ({"seed": None}, "config.seed"),
     ({"trials": 2.0}, "config.trials"),
     ({"eps_grid": {"refinement_rounds": 4}}, "refinement_rounds"),
+    *[({section: {key: _HUGE}}, f"{section}.{key} is an integer too large for a float")
+      for section, keys in _LAYOUT.items() for key, (_, kind) in keys.items() if kind is float],
 ])
 def test_mistyped_config_names_the_key(tmp_path, config, key):
     code, _, err = run_in_process(tmp_path, config, "witness")
@@ -459,6 +467,14 @@ def test_mistyped_config_names_the_key(tmp_path, config, key):
     ('{"i": 0, "w": "0.5", "v": 1.0}', "line 1: w"),
     ('{"i": 0, "w": 0.5, "v": null}', "line 1: v"),
     ('{"i": 0, "w": 0.5, "v": [1.0]}', "line 1: v"),
+    pytest.param('{"i": 0, "w": %d, "v": 1.0}' % _HUGE,
+                 "line 1: w is an integer too large for a float", id="huge-w"),
+    pytest.param('{"i": 0, "w": %d, "v": true}' % _HUGE,
+                 "line 1: w is an integer too large for a float", id="huge-w-boolean-v"),
+    pytest.param('{"i": 0, "w": 0.5, "v": -%d}' % _HUGE,
+                 "line 1: v is an integer too large for a float", id="huge-v"),
+    pytest.param('{"i": 0, "w": 0.5, "v": %s}' % _PAST_DIGIT_LIMIT,
+                 "line 1: invalid JSON (Exceeds", id="past-digit-limit"),
 ])
 def test_mistyped_jsonl_row_names_the_line(tmp_path, row, key):
     path = tmp_path / "f.jsonl"
@@ -466,6 +482,16 @@ def test_mistyped_jsonl_row_names_the_line(tmp_path, row, key):
     code, _, err = run_in_process(tmp_path, {}, "norm", "--f", str(path))
     assert code == 2
     assert key in json.loads(err)["error"]
+
+
+def test_a_config_integer_past_the_digit_limit_names_the_file(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"exponents": {"p": %s}}' % _PAST_DIGIT_LIMIT)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--config", str(cfg), "witness"])
+    assert (code, out.getvalue()) == (2, "")
+    assert json.loads(err.getvalue())["error"].startswith(f"{cfg}: invalid JSON (Exceeds")
 
 
 _BAD_VALUES = st.one_of(st.none(), st.booleans(), st.text(max_size=3),

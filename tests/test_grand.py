@@ -10,7 +10,7 @@ from grandam.core import (INTERVAL, GrandExponent, MeasureSpace, SampledFunction
 from grandam.grand import (closure_criterion, embedding_constants,
                            epsilon_profile, grand_norm, grand_sequence_norm)
 
-from oracles import brute_grand_norm
+from oracles import add, brute_grand_norm, scaled, translated, zero
 
 
 def _grid(p, theta, **kw):
@@ -76,9 +76,9 @@ def test_grand_norm_homogeneity_and_triangle():
         f = SampledFunction(sp, rng.standard_normal(12))
         g = SampledFunction(sp, rng.standard_normal(12))
         c = float(rng.uniform(0.1, 4.0))
-        assert grand_norm(f.scaled(c), e, grid) == pytest.approx(
+        assert grand_norm(scaled(f, c), e, grid) == pytest.approx(
             c * grand_norm(f, e, grid), rel=1e-10)
-        assert grand_norm(f + g, e, grid) <= (
+        assert grand_norm(add(f, g), e, grid) <= (
             grand_norm(f, e, grid) + grand_norm(g, e, grid)) * (1 + 1e-10)
 
 
@@ -90,7 +90,7 @@ def test_grand_norm_translation_invariant_on_cyclic():
     f = SampledFunction(sp, rng.random(10))
     base = grand_norm(f, e, grid)
     for s in range(10):
-        assert grand_norm(f.translated(s), e, grid) == pytest.approx(base, rel=1e-14)
+        assert grand_norm(translated(f, s), e, grid) == pytest.approx(base, rel=1e-14)
 
 
 def test_theta_monotone_for_small_p():
@@ -108,7 +108,7 @@ def test_theta_monotone_for_small_p():
 def test_zero_function():
     sp = MeasureSpace.cyclic(6)
     e = GrandExponent(2.0, 1.0)
-    assert grand_norm(SampledFunction.zero(sp), e, _grid(2.0, 1.0)) == 0.0
+    assert grand_norm(zero(sp), e, _grid(2.0, 1.0)) == 0.0
 
 
 def test_grid_mismatch_rejected():
@@ -314,9 +314,9 @@ def test_homogeneity_near_float_limits(c, p, theta):
     grid = _grid(p, theta)
     for sp in (MeasureSpace.cyclic(16), MeasureSpace.counting(16)):
         f = SampledFunction(sp, rng.uniform(-1.0, 1.0, 16))
-        assert grand_norm(f.scaled(c), e, grid) == pytest.approx(
+        assert grand_norm(scaled(f, c), e, grid) == pytest.approx(
             c * grand_norm(f, e, grid), rel=1e-12)
-        assert lp_norm(f.scaled(c), p) == pytest.approx(c * lp_norm(f, p), rel=1e-12)
+        assert lp_norm(scaled(f, c), p) == pytest.approx(c * lp_norm(f, p), rel=1e-12)
 
 
 def test_the_full_table_rescales_out_of_range_powers_without_a_warning():
@@ -331,7 +331,7 @@ def test_the_full_table_rescales_out_of_range_powers_without_a_warning():
                            np.random.default_rng(0).uniform(-1.0, 1.0, n))
     top = 2.0 ** (1024.5 / (e.p - grid.eps_values[-2]))
     for c in (1e160, top / float(np.max(base.abs_values()))):
-        value = epsilon_profile(base.scaled(c), e, grid).sup_value
+        value = epsilon_profile(scaled(base, c), e, grid).sup_value
         assert value == pytest.approx(c * grand_norm(base, e, grid), rel=1e-12)
 
 
@@ -344,7 +344,8 @@ def test_float_range_norms_of_the_large_fault_input_are_pinned():
         "f = ga.SampledFunction(ga.MeasureSpace.cyclic(65536),\n"
         "                       np.random.default_rng(0).uniform(-1.0, 1.0, 65536))\n"
         "e = ga.GrandExponent(3.0, 0.0)\n"
-        "print(repr(ga.grand_norm(f.scaled(1e160), e)), repr(ga.grand_norm(f.scaled(1e-170), e)))\n")
+        "scaled = lambda c: ga.SampledFunction(f.space, c * f.values)\n"
+        "print(repr(ga.grand_norm(scaled(1e160), e)), repr(ga.grand_norm(scaled(1e-170), e)))\n")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)

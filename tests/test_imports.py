@@ -1,9 +1,11 @@
-"""Two lint rules for the grandam sources, and the names the benchmark reads.
+"""Three lint rules for the grandam sources, and the names the benchmark reads.
 
 Every name a grandam module, test module or benchmark script imports is
-used by that module, and every private module-level name (``_helper``
+used by that module; every private module-level name (``_helper``
 functions, ``_CONSTANT`` values) that a grandam module defines is
-referenced somewhere in the package. No linter
+referenced somewhere in the package; and every public method or property
+of a grandam class is referenced by name in the package or the benchmark,
+so members that only tests call live with the tests. No linter
 ships with the project, so these stand in for unused-import and
 dead-code checks. Names that ``__init__.py`` imports to re-export are
 exempt from the first rule. The benchmark scripts read the package by
@@ -92,6 +94,18 @@ def test_every_private_name_is_referenced():
     dead = sorted(f"{name}.{defined}" for name, tree in trees.items()
                   for defined in _private_definitions(tree) if defined not in referenced)
     assert not dead, f"private names defined but never referenced: {dead}"
+
+
+def test_every_public_member_is_referenced():
+    # a name the program reads anywhere counts, even on another class
+    src = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    bench = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(BENCH.glob("*.py"))]
+    referenced = set().union(*map(_references, src + bench))
+    unreferenced = sorted(f"{cls.name}.{member.name}" for tree in src for cls in tree.body
+                          if isinstance(cls, ast.ClassDef) for member in cls.body
+                          if isinstance(member, ast.FunctionDef)
+                          and not member.name.startswith("_") and member.name not in referenced)
+    assert not unreferenced, f"public members that neither src/ nor bench/ reads: {unreferenced}"
 
 
 def test_traced_functions_exist():

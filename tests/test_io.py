@@ -220,6 +220,19 @@ def test_a_long_file_fails_on_its_bytes_before_its_rows(tmp_path, fmt):
     assert got[0] is UnicodeDecodeError
 
 
+@pytest.mark.parametrize("field", ["w", "v"])
+def test_integers_at_the_end_of_float_range(tmp_path, field):
+    # 2^1024 - 2^970 is the least integer that rounds past the largest double
+    edge = 2 ** 1024 - 2 ** 970
+    for sign in (1, -1):
+        for big in (edge - 1, edge):
+            path = tmp_path / "f.jsonl"
+            path.write_text(json.dumps({"i": 0, "w": 0.5, "v": 1.0, field: sign * big}) + "\n")
+            got = _outcome(load_function, path, "jsonl")
+            assert got == _outcome(reference_load_function, path, "jsonl")
+            assert (got[0] is ValueError) == (big == edge or field == "w" and sign < 0)
+
+
 def test_profile_csv_text_shape():
     e = GrandExponent(2.0, 1.0)
     sp = MeasureSpace.cyclic(4)
